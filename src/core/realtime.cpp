@@ -18,11 +18,18 @@ void RealTimeDriver::run(double durationSeconds) {
   // into a spin on the steady clock.
   constexpr double maxNap = 0.1;
   constexpr double minNap = 0.001;
+  const auto elapsed = [&] {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
   while (!stopped_.load()) {
-    const double wallElapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    const double batchStart = elapsed();
+    if (batchStart >= durationSeconds) break;
+    engine_.runUntil(virtualStart + timeScale_ * batchStart);
+    // The nap is measured from the clock *after* the batch: the batch's
+    // own run time already counts toward the wait for the next event,
+    // or every paced tick would start one batch late.
+    const double wallElapsed = elapsed();
     if (wallElapsed >= durationSeconds) break;
-    engine_.runUntil(virtualStart + timeScale_ * wallElapsed);
     double nap = maxNap;
     if (!engine_.idle()) {
       const double untilNextWall =

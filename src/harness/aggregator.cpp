@@ -14,6 +14,7 @@
 #include "core/fpt_core.h"
 #include "core/realtime.h"
 #include "modules/modules.h"
+#include "modules/peer_judge.h"
 #include "net/agg_client.h"
 #include "net/agg_server.h"
 #include "net/fanout_collector.h"
@@ -171,14 +172,6 @@ struct RootGroup {
   }
 };
 
-/// Per-channel merge workspace mirroring the sim merge modules'
-/// transition tracking (merge_bb_module.cpp).
-struct ChannelMerge {
-  analysis::TieredScratch scratch;
-  std::vector<std::string> lastUnmonitorable;
-  bool lastBelowQuorum = false;
-};
-
 void sortEvents(std::vector<core::MonitoringEvent>& events) {
   std::stable_sort(events.begin(), events.end(),
                    [](const core::MonitoringEvent& a,
@@ -208,10 +201,6 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
         "(need exactly one per group, in topology order)",
         spec.aggEndpoints.size(), groups.size()));
   }
-  const int quorum =
-      spec.pipeline.quorum > 0 ? spec.pipeline.quorum
-                               : std::max(3, totalNodes / 2 + 1);
-
   // Per-node labels matching the generated configuration's origins
   // (sadc/hadoop_log emit "slave<node>"), so MonitoringEvents name the
   // same nodes a sim tiered run would.
@@ -245,7 +234,16 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   chan[1]->setTier(2);
 
   ExperimentResult result;
-  ChannelMerge merges[rpc::kSummaryChannelCount];
+  // One judge per summary channel, named like the flat instances so
+  // MonitoringEvents match a sim run's.
+  const std::string channelIds[rpc::kSummaryChannelCount] = {"analysis_bb",
+                                                              "analysis_wb"};
+  modules::PeerJudge judges[rpc::kSummaryChannelCount] = {
+      modules::PeerJudge(modules::PeerKind::kBlackBox,
+                         spec.pipeline.bbThreshold, spec.pipeline.quorum,
+                         labels),
+      modules::PeerJudge(modules::PeerKind::kWhiteBox, spec.pipeline.wbK,
+                         spec.pipeline.quorum, labels)};
   std::vector<analysis::GroupSummary> synth(groups.size());
   std::vector<const analysis::GroupSummary*> ptrs(groups.size());
   std::vector<char> fromQueue(groups.size());
@@ -306,63 +304,17 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
         ptrs[g] = &s;
       }
 
-      std::vector<double> health(static_cast<std::size_t>(totalNodes));
-      std::vector<std::string> unmonitorable;
-      std::size_t offset = 0;
-      std::size_t survivors = 0;
-      for (std::size_t g = 0; g < regions.size(); ++g) {
-        const analysis::GroupSummary& s = *ptrs[g];
-        for (std::size_t m = 0; m < s.members; ++m) {
-          health[offset + m] = s.health[m];
-          if (s.health[m] == 2.0) {
-            unmonitorable.push_back(labels[offset + m]);
-          } else {
-            ++survivors;
-          }
-        }
-        offset += s.members;
-      }
-      const bool belowQuorum =
-          static_cast<int>(survivors) < std::max(quorum, 3);
-
-      std::vector<double> flags(static_cast<std::size_t>(totalNodes), 0.0);
-      std::vector<double> scores(static_cast<std::size_t>(totalNodes), 0.0);
-      if (!belowQuorum) {
-        if (c == static_cast<int>(rpc::SummaryChannel::kBlackBox)) {
-          analysis::mergeBlackBoxSummaries(
-              ptrs.data(), ptrs.size(), spec.pipeline.bbThreshold,
-              merges[c].scratch, flags.data(), scores.data());
-        } else {
-          analysis::mergeWhiteBoxSummaries(ptrs.data(), ptrs.size(),
-                                           spec.pipeline.wbK,
-                                           merges[c].scratch, flags.data(),
-                                           scores.data());
-        }
-      }
-
-      ChannelMerge& ms = merges[c];
-      if (unmonitorable != ms.lastUnmonitorable ||
-          belowQuorum != ms.lastBelowQuorum) {
-        ms.lastUnmonitorable = unmonitorable;
-        ms.lastBelowQuorum = belowQuorum;
-        core::MonitoringEvent event;
-        event.time = t;
-        event.channel =
-            c == static_cast<int>(rpc::SummaryChannel::kBlackBox)
-                ? "analysis_bb"
-                : "analysis_wb";
-        event.survivors = static_cast<int>(survivors);
-        event.quorum = quorum;
-        event.belowQuorum = belowQuorum;
-        event.unmonitorable = std::move(unmonitorable);
-        result.monitoringEvents.push_back(std::move(event));
-      }
-
       analysis::AlarmRecord record;
       record.time = t;
-      record.flags = std::move(flags);
-      record.scores = std::move(scores);
-      record.health = std::move(health);
+      record.flags.resize(static_cast<std::size_t>(totalNodes));
+      record.scores.resize(static_cast<std::size_t>(totalNodes));
+      record.health.resize(static_cast<std::size_t>(totalNodes));
+      if (const core::MonitoringEvent* event = judges[c].judge(
+              ptrs.data(), ptrs.size(), t, channelIds[c],
+              record.flags.data(), record.scores.data(),
+              record.health.data())) {
+        result.monitoringEvents.push_back(*event);
+      }
       if (c == static_cast<int>(rpc::SummaryChannel::kBlackBox)) {
         result.blackBox.push_back(std::move(record));
       } else {

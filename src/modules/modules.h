@@ -3,7 +3,11 @@
 // These are the module types the paper describes: the sadc and
 // hadoop_log data-collection modules, the mavgvec / knn / ibuffer
 // processing modules, the analysis_bb / analysis_wb fingerpointers,
-// and the print alarm sink. registerBuiltinModules() installs them in
+// and the print alarm sink. The fingerpointers and their aggregation-
+// tier split (agg_bb / agg_wb, analysis_bb_merge / analysis_wb_merge)
+// are one peer-comparison unit: flat analysis is the single-group case
+// of reduce -> merge, judged by the shared PeerJudge (peer_modules.cpp,
+// peer_judge.h). registerBuiltinModules() installs them in
 // a registry (static libraries would otherwise drop the registration
 // objects); call it once at startup.
 //

@@ -2,12 +2,8 @@
 
 namespace asdf::modules {
 
-void registerAggBbModule(core::ModuleRegistry&);
-void registerAggWbModule(core::ModuleRegistry&);
 void registerAnalysisMadModule(core::ModuleRegistry&);
 void registerCsvSinkModule(core::ModuleRegistry&);
-void registerMergeBbModule(core::ModuleRegistry&);
-void registerMergeWbModule(core::ModuleRegistry&);
 void registerMitigateModule(core::ModuleRegistry&);
 void registerStraceModule(core::ModuleRegistry&);
 void registerSadcModule(core::ModuleRegistry&);
@@ -15,9 +11,8 @@ void registerHadoopLogModule(core::ModuleRegistry&);
 void registerIBufferModule(core::ModuleRegistry&);
 void registerMavgvecModule(core::ModuleRegistry&);
 void registerKnnModule(core::ModuleRegistry&);
-void registerAnalysisBbModule(core::ModuleRegistry&);
-void registerAnalysisWbModule(core::ModuleRegistry&);
 void registerNodeHealthModule(core::ModuleRegistry&);
+void registerPeerComparisonModules(core::ModuleRegistry&);
 void registerPrintModule(core::ModuleRegistry&);
 
 void registerBuiltinModules(core::ModuleRegistry* registry) {
@@ -28,12 +23,7 @@ void registerBuiltinModules(core::ModuleRegistry* registry) {
   registerIBufferModule(r);
   registerMavgvecModule(r);
   registerKnnModule(r);
-  registerAnalysisBbModule(r);
-  registerAnalysisWbModule(r);
-  registerAggBbModule(r);
-  registerAggWbModule(r);
-  registerMergeBbModule(r);
-  registerMergeWbModule(r);
+  registerPeerComparisonModules(r);
   registerAnalysisMadModule(r);
   registerNodeHealthModule(r);
   registerPrintModule(r);

@@ -3,14 +3,22 @@
 #include "modules/modules.h"
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/bbmodel.h"
+#include "analysis/peercompare.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "common/stats.h"
 #include "core/fpt_core.h"
+#include "hadoop/cluster.h"
+#include "rpc/daemons.h"
+#include "rpc/rpc_client.h"
 
 namespace asdf::modules {
 namespace {
@@ -83,6 +91,52 @@ class VectorFeeder final : public core::Module {
   int out_ = -1;
 };
 
+// Feeds one seeded random vector per second on "output0" — state
+// indices in [0, states) when states > 0, else uniform values in
+// [0, 10) — and, with dev = 1, a positive vector on "stddev". Every
+// vector written is kept in `written`, keyed by "<id>.<port>" and
+// time, so tests can recompute what a consumer saw.
+class RandomFeeder final : public core::Module {
+ public:
+  static std::map<std::string, std::map<double, std::vector<double>>>*
+      written;
+  void init(core::ModuleContext& ctx) override {
+    id_ = ctx.instanceId();
+    len_ = static_cast<std::size_t>(ctx.intParam("len", 4));
+    states_ = ctx.intParam("states", 0);
+    rng_ = Rng(static_cast<std::uint64_t>(ctx.intParam("seed", 1)));
+    out_ = ctx.addOutput("output0", ctx.param("origin", ""));
+    if (ctx.intParam("dev", 0) != 0) {
+      dev_ = ctx.addOutput("stddev", ctx.param("origin", ""));
+    }
+    ctx.requestPeriodic(1.0);
+  }
+  void run(core::ModuleContext& ctx, core::RunReason) override {
+    std::vector<double> v(len_);
+    for (double& x : v) {
+      x = states_ > 0 ? static_cast<double>(rng_.uniformInt(0, states_ - 1))
+                      : rng_.uniform(0.0, 10.0);
+    }
+    (*written)[id_ + ".output0"][ctx.now()] = v;
+    ctx.write(out_, std::move(v));
+    if (dev_ < 0) return;
+    std::vector<double> d(len_);
+    for (double& x : d) x = rng_.uniform(0.1, 2.0);
+    (*written)[id_ + ".stddev"][ctx.now()] = d;
+    ctx.write(dev_, std::move(d));
+  }
+
+ private:
+  std::string id_;
+  std::size_t len_ = 4;
+  long states_ = 0;
+  Rng rng_;
+  int out_ = -1;
+  int dev_ = -1;
+};
+std::map<std::string, std::map<double, std::vector<double>>>*
+    RandomFeeder::written = nullptr;
+
 // Captures every sample written to its single bound input connection.
 class Capture final : public core::Module {
  public:
@@ -111,9 +165,12 @@ class ModulesTest : public ::testing::Test {
                            [] { return std::make_unique<GapFeeder>(); });
     registry_.registerType("capture",
                            [] { return std::make_unique<Capture>(); });
+    registry_.registerType("randfeeder",
+                           [] { return std::make_unique<RandomFeeder>(); });
     ScalarFeeder::script = &script_;
     GapFeeder::script = &gapScript_;
     Capture::sink = &captured_;
+    RandomFeeder::written = &written_;
   }
 
   sim::SimEngine engine_;
@@ -121,6 +178,7 @@ class ModulesTest : public ::testing::Test {
   std::vector<double> script_;
   std::vector<double> gapScript_;
   std::vector<core::Sample> captured_;
+  std::map<std::string, std::map<double, std::vector<double>>> written_;
 };
 
 TEST_F(ModulesTest, RegisterBuiltinsCoversPaperModules) {
@@ -506,6 +564,131 @@ TEST_F(ModulesTest, AnalysisWbRespectsUnitFloor) {
   for (const auto& a : alarms) {
     EXPECT_DOUBLE_EQ(a.flags[0], 0.0);
   }
+}
+
+// The module path against an independent reference: [analysis_bb] and
+// [analysis_wb] on random windows, with one node unmonitorable through
+// the rpc_client health registry, must score the survivors bit for bit
+// like the flat kernels (blackBoxCompareInto / whiteBoxCompareInto)
+// over the survivor rows, and report the excluded node as flag 0,
+// score 0, health 2.
+TEST_F(ModulesTest, AnalysisModulesMatchFlatKernelsOverSurvivors) {
+  constexpr int kNodes = 6;
+  constexpr int kStates = 4;
+  constexpr int kDims = 5;
+  constexpr std::size_t kExcluded = 2;  // slave3
+  constexpr double kThreshold = 8.0;
+  constexpr double kK = 1.5;
+
+  analysis::BlackBoxModel model;
+  model.sigmas = {1.0};
+  for (int s = 0; s < kStates; ++s) {
+    model.centroids.push_back({static_cast<double>(s)});
+  }
+  sim::SimEngine clusterEngine;
+  hadoop::HadoopParams params;
+  params.slaveCount = 3;
+  hadoop::Cluster cluster(params, 5, clusterEngine);
+  rpc::RpcHub hub(cluster, 0.0);
+  rpc::RpcClient client(cluster, hub, rpc::RpcPolicy{}, 5);
+  const NodeId excluded = static_cast<NodeId>(kExcluded + 1);
+  client.health().markFailure(excluded, rpc::Daemon::kSadc, 0.0);
+  client.health().markFailure(excluded, rpc::Daemon::kHadoopLog, 0.0);
+
+  core::Environment env;
+  env.provide("bb_model", &model);
+  env.provide("rpc_client", &client);
+  std::vector<core::Alarm> alarms;
+  env.alarmSink = [&](const core::Alarm& a) { alarms.push_back(a); };
+
+  std::string config;
+  for (int i = 0; i < kNodes; ++i) {
+    config += strformat(
+        "[randfeeder]\nid = w%d\nlen = 20\nstates = %d\nseed = %d\n"
+        "origin = slave%d\n\n",
+        i, kStates, 100 + i, i + 1);
+    config += strformat(
+        "[randfeeder]\nid = m%d\nlen = %d\ndev = 1\nseed = %d\n"
+        "origin = slave%d\n\n",
+        i, kDims, 200 + i, i + 1);
+  }
+  config += strformat("[analysis_bb]\nid = bb\nthreshold = %g\n",
+                      kThreshold);
+  for (int i = 0; i < kNodes; ++i) {
+    config += strformat("input[l%d] = w%d.output0\n", i, i);
+  }
+  config += strformat("\n[analysis_wb]\nid = wb\nk = %g\n", kK);
+  for (int i = 0; i < kNodes; ++i) {
+    config += strformat("input[a%d] = m%d.output0\n", i, i);
+    config += strformat("input[d%d] = m%d.stddev\n", i, i);
+  }
+  config += "\n[print]\nid = bb_out\nquiet = 1\ninput[a] = @bb\n";
+  config += "\n[print]\nid = wb_out\nquiet = 1\ninput[a] = @wb\n";
+
+  core::FptCore core(engine_, env, &registry_);
+  core.configureFromText(config);
+  engine_.runUntil(30.0);
+
+  std::size_t bbRuns = 0;
+  std::size_t wbRuns = 0;
+  double flagged = 0.0;
+  for (const core::Alarm& a : alarms) {
+    const bool bb = a.channel == "bb_out";
+    ASSERT_EQ(a.flags.size(), static_cast<std::size_t>(kNodes));
+    ASSERT_EQ(a.scores.size(), static_cast<std::size_t>(kNodes));
+    ASSERT_EQ(a.health.size(), static_cast<std::size_t>(kNodes));
+
+    // Survivor rows as the module saw them at this window.
+    std::vector<std::size_t> survivors;
+    std::vector<std::vector<double>> rows;
+    std::vector<std::vector<double>> devs;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(kNodes); ++i) {
+      if (i == kExcluded) continue;
+      survivors.push_back(i);
+      const std::string id = strformat(bb ? "w%zu" : "m%zu", i);
+      const auto& window = written_.at(id + ".output0").at(a.time);
+      if (bb) {
+        std::vector<double> hist(kStates);
+        analysis::stateHistogramInto(window.data(), window.size(),
+                                     hist.data(), kStates);
+        rows.push_back(hist);
+      } else {
+        rows.push_back(window);
+        devs.push_back(written_.at(id + ".stddev").at(a.time));
+      }
+    }
+    std::vector<const double*> rowPtrs;
+    std::vector<const double*> devPtrs;
+    for (const auto& r : rows) rowPtrs.push_back(r.data());
+    for (const auto& d : devs) devPtrs.push_back(d.data());
+    std::vector<double> flags(survivors.size());
+    std::vector<double> scores(survivors.size());
+    analysis::PeerScratch scratch;
+    if (bb) {
+      ++bbRuns;
+      analysis::blackBoxCompareInto(rowPtrs.data(), rowPtrs.size(), kStates,
+                                    kThreshold, scratch, flags.data(),
+                                    scores.data());
+    } else {
+      ++wbRuns;
+      analysis::whiteBoxCompareInto(rowPtrs.data(), devPtrs.data(),
+                                    rowPtrs.size(), kDims, kK, scratch,
+                                    flags.data(), scores.data());
+    }
+    for (std::size_t j = 0; j < survivors.size(); ++j) {
+      const std::size_t i = survivors[j];
+      EXPECT_EQ(a.flags[i], flags[j]) << a.channel << " t=" << a.time;
+      EXPECT_EQ(a.scores[i], scores[j]) << a.channel << " t=" << a.time;
+      EXPECT_EQ(a.health[i], 0.0);
+      flagged += flags[j];
+    }
+    EXPECT_EQ(a.flags[kExcluded], 0.0);
+    EXPECT_EQ(a.scores[kExcluded], 0.0);
+    EXPECT_EQ(a.health[kExcluded], 2.0);
+  }
+  EXPECT_GE(bbRuns, 20u);
+  EXPECT_GE(wbRuns, 20u);
+  EXPECT_GT(flagged, 0.0);  // the comparison is not vacuous
 }
 
 TEST_F(ModulesTest, HadoopLogSyncReleasesOnlyCompleteRows) {

@@ -366,6 +366,29 @@ TEST(RealTimeDriver, IdleEngineAdvancesToEndWithoutSpinning) {
   EXPECT_TRUE(engine.idle());
 }
 
+// Pacing is measured from the clock after each batch: a batch that
+// takes 40 ms of wall time must shorten the wait for an event due at
+// 80 ms to at most 40 ms. Measuring from the clock read before the
+// batch would request the full 80 ms and start every tick one batch
+// late.
+TEST(RealTimeDriver, NapSubtractsBatchRunTime) {
+  sim::SimEngine engine;
+  engine.scheduleAt(0.0, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  });
+  engine.scheduleAt(0.08, [] {});
+  core::RealTimeDriver driver(engine, 1.0);
+  std::vector<double> naps;
+  driver.setWaiter([&](double seconds) {
+    naps.push_back(seconds);
+    driver.stop();
+  });
+  driver.run(10.0);
+  ASSERT_EQ(naps.size(), 1u);
+  EXPECT_LE(naps[0], 0.04);
+  EXPECT_GE(naps[0], 0.001);
+}
+
 TEST(RealTimeDriver, StopInterruptsRun) {
   sim::SimEngine engine;
   core::RealTimeDriver driver(engine, 1.0);

@@ -1,7 +1,8 @@
-// Asserts the ISSUE's core data-plane claim with the counting
-// allocator: once scratch buffers and builder pools are warm, the
-// analysis loop — flat kernels plus pooled emission and handle
-// retention — performs zero heap allocations per iteration.
+// Asserts the core data-plane claim with the counting allocator: once
+// scratch buffers and builder pools are warm, the analysis loop — the
+// flat kernels, the single-group reduce + judge path the analysis
+// modules run, pooled emission and handle retention — performs zero
+// heap allocations per iteration.
 //
 // This lives in its own test binary (asdf_zero_alloc_test) because it
 // links the global operator new/delete replacements from
@@ -18,10 +19,13 @@
 
 #include "alloc_hook.h"
 #include "analysis/kmeans.h"
+#include "analysis/partials.h"
 #include "analysis/peercompare.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/value.h"
+#include "modules/peer_judge.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/tcp_server.h"
@@ -121,6 +125,88 @@ TEST(ZeroAlloc, PeerComparisonSteadyStateAllocatesNothing) {
                                   scores.data());
   }
   EXPECT_EQ(allochook::totals().allocs, 0u);
+}
+
+// The flat [analysis_bb]/[analysis_wb] hot path: reduce all nodes into
+// one GroupSummary, then judge it (merge + quorum + transition check).
+// One node is unmonitorable, so the survivor path is exercised; its
+// MonitoringEvent fires once during warm-up and never again.
+TEST(ZeroAlloc, SingleGroupJudgeSteadyStateAllocatesNothing) {
+  const Matrix hists = makePoints(kNodes, kDims);
+  const Matrix means = makePoints(kNodes, kDims);
+  Matrix stddevs(kNodes, kDims);
+  for (std::size_t r = 0; r < kNodes; ++r) {
+    for (std::size_t c = 0; c < kDims; ++c) stddevs.row(r)[c] = 1.0;
+  }
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    labels.push_back(strformat("slave%zu", i + 1));
+  }
+  constexpr std::size_t kExcluded = 7;
+
+  analysis::GroupSummary bb;
+  analysis::GroupSummary wb;
+  std::vector<const double*> rowPtrs;
+  std::vector<const double*> devPtrs;
+  // What the reducer does per window: survivor rows plus their
+  // sorted median partials.
+  const auto reduce = [&](const Matrix& rows, const Matrix* devs,
+                          analysis::GroupSummary& out) {
+    out.members = kNodes;
+    out.dims = kDims;
+    out.hasDev = devs != nullptr;
+    out.health.assign(kNodes, 0.0);
+    out.health[kExcluded] = 2.0;
+    out.rows.resizeRows(0, kDims);
+    devPtrs.clear();
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      if (i == kExcluded) continue;
+      out.rows.push_back(rows.row(i), kDims);
+      if (devs != nullptr) devPtrs.push_back(devs->row(i));
+    }
+    rowPtrs.clear();
+    for (std::size_t j = 0; j < out.rows.rows(); ++j) {
+      rowPtrs.push_back(out.rows.row(j));
+    }
+    analysis::reduceMedianPartial(rowPtrs.data(), rowPtrs.size(), kDims,
+                                  out.median);
+    if (devs != nullptr) {
+      analysis::reduceMedianPartial(devPtrs.data(), devPtrs.size(), kDims,
+                                    out.devMedian);
+    }
+  };
+
+  modules::PeerJudge bbJudge(modules::PeerKind::kBlackBox, 40.0, 0, labels);
+  modules::PeerJudge wbJudge(modules::PeerKind::kWhiteBox, 2.0, 0, labels);
+  const std::string bbChannel = "analysis_bb";
+  const std::string wbChannel = "analysis_wb";
+  std::vector<double> flags(kNodes);
+  std::vector<double> scores(kNodes);
+  std::vector<double> health(kNodes);
+  const analysis::GroupSummary* bbGroup = &bb;
+  const analysis::GroupSummary* wbGroup = &wb;
+  const auto pass = [&] {
+    reduce(hists, nullptr, bb);
+    const core::MonitoringEvent* bbEvent =
+        bbJudge.judge(&bbGroup, 1, 0.0, bbChannel, flags.data(),
+                      scores.data(), health.data());
+    reduce(means, &stddevs, wb);
+    const core::MonitoringEvent* wbEvent =
+        wbJudge.judge(&wbGroup, 1, 0.0, wbChannel, flags.data(),
+                      scores.data(), health.data());
+    return bbEvent != nullptr || wbEvent != nullptr;
+  };
+
+  EXPECT_TRUE(pass());  // warm-up: the exclusion is a transition
+  EXPECT_FALSE(pass());
+
+  allochook::reset();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_FALSE(pass());
+  }
+  EXPECT_EQ(allochook::totals().allocs, 0u);
+  EXPECT_EQ(health[kExcluded], 2.0);
+  EXPECT_EQ(flags[kExcluded], 0.0);
 }
 
 TEST(ZeroAlloc, BuilderEmissionAndRetentionAllocateNothing) {
