@@ -29,7 +29,7 @@
 #include "faults/faults.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
+#include "rpc/rpc_client.h"
 #include "workload/gridmix.h"
 
 namespace {
@@ -104,11 +104,13 @@ int main(int argc, char** argv) {
   cluster.start();
   gridmix.start();
   rpc::RpcHub hub(cluster, 0.0);
+  rpc::RpcClient client(cluster, hub, rpc::RpcPolicy{},
+                        seed * 2654435761ULL + 97);
   modules::HadoopLogSync sync;
   BlacklistMitigator mitigator(cluster);
 
   core::Environment env;
-  env.provide("rpc", &hub);
+  env.provide("rpc_client", &client);
   env.provide("bb_model", &model);
   env.provide("hl_sync", &sync);
   env.provide<modules::Mitigator>("mitigator", &mitigator);

@@ -18,7 +18,7 @@
 #include "hadoop/cluster.h"
 #include "metrics/catalog.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
+#include "rpc/rpc_client.h"
 #include "workload/gridmix.h"
 
 namespace {
@@ -101,9 +101,10 @@ int main() {
   cluster.start();
   gridmix.start();
   rpc::RpcHub hub(cluster, 0.0);
+  rpc::RpcClient client(cluster, hub, rpc::RpcPolicy{}, 5152);
 
   core::Environment env;
-  env.provide("rpc", &hub);
+  env.provide("rpc_client", &client);
   long alarmsOnSlave2 = 0;
   long alarmsElsewhere = 0;
   env.alarmSink = [&](const core::Alarm& alarm) {

@@ -19,7 +19,7 @@
 #include "faults/faults.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
+#include "rpc/rpc_client.h"
 #include "workload/gridmix.h"
 
 int main(int argc, char** argv) {
@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
 
   // 3. Start the collection daemons and hand services to fpt-core.
   rpc::RpcHub hub(cluster, 0.0);
+  rpc::RpcClient client(cluster, hub, rpc::RpcPolicy{}, /*seed=*/101);
   modules::HadoopLogSync sync;
   core::Environment env;
-  env.provide("rpc", &hub);
+  env.provide("rpc_client", &client);
   env.provide("bb_model", &model);
   env.provide("hl_sync", &sync);
   long alarms = 0;

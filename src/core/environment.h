@@ -2,7 +2,7 @@
 //
 // fpt-core itself is domain-agnostic: it knows nothing about Hadoop,
 // sadc, or RPC daemons. Data-collection modules find their backends
-// (the RpcHub, the trained black-box model, the alarm sink) through
+// (the RpcClient, the trained black-box model, the alarm sink) through
 // this typed service locator, which the embedding application
 // populates before configuring the core. This is what makes the
 // framework pluggable in the paper's sense: a new data source ships a

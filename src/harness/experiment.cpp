@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 
@@ -151,6 +153,154 @@ std::unique_ptr<archive::ArchiveWriter> makeRecorder(
                                                   metaFromSpec(spec, source));
 }
 
+/// The steps every transport shares. Sim, live and replay runs differ
+/// only in the collector behind `client`, in how `advance` moves time,
+/// and in where `advance` takes the ground truth and Table 3 numbers
+/// from. fpt-core is configured before `advance` runs, so on the sim
+/// engine its modules register ahead of any fault injector.
+ExperimentResult runMonitored(
+    const ExperimentSpec& spec, const analysis::BlackBoxModel& model,
+    sim::SimEngine& engine, rpc::RpcClient& client,
+    archive::ArchiveWriter* recorder,
+    const std::function<void(ExperimentResult&)>& advance) {
+  if (recorder != nullptr) client.setObserver(recorder);
+  modules::HadoopLogSync sync;
+  ExperimentResult result;
+
+  core::Environment env;
+  env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
+  env.provide("hl_sync", &sync);
+  env.provide("rpc_client", &client);
+  env.provide("node_health", &client.health());
+  // Tiered analysis reduces per group before the root merge; the agg
+  // modules charge the summary traffic to tier-2 channels in the
+  // client's registry so Table 4 reports bandwidth per tier. (FptCore
+  // copies the environment, so this must precede its construction.)
+  if (spec.tiered) env.provide("transports", &client.transports());
+  std::mutex eventMutex;
+  wireSinks(env, result, eventMutex);
+
+  core::FptCore fpt(engine, env);
+  fpt.setExecutor(core::makeExecutor(spec.threads));
+  PipelineParams pipeline = spec.pipeline;
+  pipeline.slaves = spec.slaves;
+  if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
+  fpt.configureFromText(buildCombinedConfig(pipeline));
+
+  advance(result);
+
+  sortMonitoringEvents(result);
+  result.simulatedSeconds = spec.duration;
+  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
+  result.fptCoreMemMb =
+      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
+  // Table 4 accounting. Channels that never carried a call (e.g. the
+  // strace extension when its module is not configured) are omitted.
+  recordChannelReports(result, client.transports(), spec);
+  result.syncDroppedSeconds = sync.droppedSeconds();
+  recordClientCounters(result, client);
+  if (recorder != nullptr) {
+    recorder->writeTruth(truthFromResult(result));
+    recorder->close();
+  }
+  return result;
+}
+
+/// Sim transport: a simulated cluster with in-process RpcHub daemons,
+/// fetched through the client on the engine clock.
+ExperimentResult runSimExperiment(const ExperimentSpec& spec,
+                                  const analysis::BlackBoxModel& model) {
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 6151 + 3,
+                          engine);
+  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
+                                     spec.seed * 7411 + 1);
+  cluster.start();
+  gridmix.start();
+
+  rpc::RpcHub hub(cluster, /*attachTime=*/0.0);
+  // NIC packet loss fails monitoring RPCs only in fault-tolerant runs;
+  // otherwise an infinite exponent makes every attempt immune to it.
+  rpc::RpcPolicy policy = spec.rpcPolicy;
+  if (!spec.faultTolerantRpc && spec.monitoringFaults.empty()) {
+    policy.lossFailureExponent = std::numeric_limits<double>::infinity();
+  }
+  rpc::RpcClient client(cluster, hub, policy,
+                        spec.seed * 2654435761ULL + 97);
+  std::unique_ptr<archive::ArchiveWriter> recorder =
+      makeRecorder(spec, "sim");
+
+  return runMonitored(spec, model, engine, client, recorder.get(),
+                      [&](ExperimentResult& result) {
+    faults::FaultInjector injector(cluster, spec.fault);
+    injector.arm();
+
+    std::unique_ptr<faults::ScenarioInjector> scenario;
+    if (spec.scenario.cls != faults::ScenarioClass::kNone) {
+      scenario =
+          std::make_unique<faults::ScenarioInjector>(cluster, spec.scenario);
+      scenario->arm();
+    }
+
+    std::vector<std::unique_ptr<faults::MonitoringFaultInjector>>
+        monInjectors;
+    for (const faults::MonitoringFaultSpec& mf : spec.monitoringFaults) {
+      monInjectors.push_back(
+          std::make_unique<faults::MonitoringFaultInjector>(
+              engine, client.faults(), mf));
+      monInjectors.back()->arm();
+    }
+
+    engine.runUntil(spec.duration);
+
+    // Ground truth.
+    result.truth.slaveIndex = spec.fault.type == faults::FaultType::kNone
+                                  ? -1
+                                  : spec.fault.node - 1;
+    result.truth.faultStart = spec.fault.startTime;
+    // A fault can end before the run does (a scheduled endTime, or the
+    // DiskHog completing its 20 GB write); windows after that are
+    // negatives.
+    result.truth.faultEnd = injector.endedAt() != kNoTime
+                                ? injector.endedAt()
+                                : spec.fault.endTime;
+    if (scenario != nullptr) {
+      result.truth.culprits = scenario->culpritIndices();
+      result.truth.slaveIndex =
+          result.truth.culprits.empty() ? -1 : result.truth.culprits.front();
+      result.truth.faultStart = scenario->spec().startTime;
+      result.truth.faultEnd = scenario->endedAt() != kNoTime
+                                  ? scenario->endedAt()
+                                  : scenario->spec().endTime;
+      result.scenarioEvents = scenario->events();
+    }
+
+    // Table 3 accounting. Daemon CPU percentages are of one core per
+    // node (divide by slave count), relative to the simulated clock.
+    const double nodeSeconds = spec.duration * spec.slaves;
+    result.sadcRpcdCpuPct = 100.0 * hub.sadcCpuSeconds() / nodeSeconds;
+    result.hadoopLogRpcdCpuPct =
+        100.0 * hub.hadoopLogCpuSeconds() / nodeSeconds;
+    result.straceRpcdCpuPct = 100.0 * hub.straceCpuSeconds() / nodeSeconds;
+    result.sadcRpcdMemMb =
+        static_cast<double>(hub.sadcMemoryBytes()) / spec.slaves / 1.0e6;
+    result.hadoopLogRpcdMemMb =
+        static_cast<double>(hub.hadoopLogMemoryBytes()) / spec.slaves /
+        1.0e6;
+    result.straceRpcdMemMb =
+        static_cast<double>(hub.straceMemoryBytes()) / spec.slaves / 1.0e6;
+
+    // Cluster health.
+    result.jobsSubmitted = cluster.jobTracker().jobsSubmitted();
+    result.jobsCompleted = cluster.jobTracker().jobsCompleted();
+    for (int i = 1; i <= spec.slaves; ++i) {
+      result.tasksCompleted += cluster.taskTracker(i).completedTasks();
+      result.tasksFailed += cluster.taskTracker(i).failedTasks();
+    }
+    result.speculativeLaunches = cluster.jobTracker().speculativeLaunches();
+  });
+}
+
 /// Live transport: the monitored cluster lives inside asdf_rpcd; the
 /// control node here runs only fpt-core + the RpcClient over real
 /// sockets, pumped by a RealTimeDriver. Monitoring-fault injectors are
@@ -174,41 +324,27 @@ ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
                         spec.seed * 2654435761ULL + 97);
   std::unique_ptr<archive::ArchiveWriter> recorder =
       makeRecorder(spec, "live");
-  if (recorder != nullptr) client.setObserver(recorder.get());
-
   sim::SimEngine engine;
-  modules::HadoopLogSync sync;
-  ExperimentResult result;
 
-  core::Environment env;
-  env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
-  env.provide("hl_sync", &sync);
-  env.provide("rpc_client", &client);
-  env.provide("node_health", &client.health());
-  std::mutex eventMutex;
-  wireSinks(env, result, eventMutex);
+  return runMonitored(spec, model, engine, client, recorder.get(),
+                      [&](ExperimentResult& result) {
+    core::RealTimeDriver driver(engine, spec.realtimeScale);
+    driver.run(spec.duration / spec.realtimeScale);
 
-  core::FptCore fpt(engine, env);
-  fpt.setExecutor(core::makeExecutor(spec.threads));
-  PipelineParams pipeline = spec.pipeline;
-  pipeline.slaves = spec.slaves;
-  fpt.configureFromText(buildCombinedConfig(pipeline));
+    // Ground truth comes from the spec (the caller started asdf_rpcd
+    // with the same fault); the daemon reports the observed end time.
+    result.truth.slaveIndex = spec.fault.type == faults::FaultType::kNone
+                                  ? -1
+                                  : spec.fault.node - 1;
+    result.truth.faultStart = spec.fault.startTime;
+    result.truth.faultEnd = spec.fault.endTime;
 
-  core::RealTimeDriver driver(engine, spec.realtimeScale);
-  driver.run(spec.duration / spec.realtimeScale);
-
-  sortMonitoringEvents(result);
-
-  // Ground truth comes from the spec (the caller started asdf_rpcd
-  // with the same fault); the daemon reports the observed end time.
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  result.truth.faultEnd = spec.fault.endTime;
-  result.simulatedSeconds = spec.duration;
-
-  net::ClusterStatsWire stats;
-  if (transport.fetchStats(spec.duration, stats)) {
+    net::ClusterStatsWire stats;
+    if (!transport.fetchStats(spec.duration, stats)) {
+      logWarn("live transport: final kStats fetch failed; cluster-side "
+              "accounting unavailable");
+      return;
+    }
     if (stats.faultEndedAt != kNoTime) {
       result.truth.faultEnd = stats.faultEndedAt;
     }
@@ -228,22 +364,7 @@ ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
     result.tasksCompleted = stats.tasksCompleted;
     result.tasksFailed = stats.tasksFailed;
     result.speculativeLaunches = stats.speculativeLaunches;
-  } else {
-    logWarn("live transport: final kStats fetch failed; cluster-side "
-            "accounting unavailable");
-  }
-  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
-  result.fptCoreMemMb =
-      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
-
-  recordChannelReports(result, client.transports(), spec);
-  result.syncDroppedSeconds = sync.droppedSeconds();
-  recordClientCounters(result, client);
-  if (recorder != nullptr) {
-    recorder->writeTruth(truthFromResult(result));
-    recorder->close();
-  }
-  return result;
+  });
 }
 
 /// Replay transport: no cluster, no daemons — an ArchiveCollector
@@ -261,61 +382,33 @@ ExperimentResult runReplayExperiment(const ExperimentSpec& spec,
   rpc::RpcClient client(collector, spec.rpcPolicy,
                         spec.seed * 2654435761ULL + 97,
                         /*realBackoff=*/false);
-
   sim::SimEngine engine;
-  modules::HadoopLogSync sync;
-  ExperimentResult result;
 
-  core::Environment env;
-  env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
-  env.provide("hl_sync", &sync);
-  env.provide("rpc_client", &client);
-  env.provide("node_health", &client.health());
-  if (spec.tiered) env.provide("transports", &client.transports());
-  std::mutex eventMutex;
-  wireSinks(env, result, eventMutex);
+  return runMonitored(spec, model, engine, client, /*recorder=*/nullptr,
+                      [&](ExperimentResult& result) {
+    engine.runUntil(spec.duration);
 
-  core::FptCore fpt(engine, env);
-  fpt.setExecutor(core::makeExecutor(spec.threads));
-  PipelineParams pipeline = spec.pipeline;
-  pipeline.slaves = spec.slaves;
-  if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
-  fpt.configureFromText(buildCombinedConfig(pipeline));
-
-  engine.runUntil(spec.duration);
-
-  sortMonitoringEvents(result);
-
-  // Ground truth: the recorded run's truth record when the recorder
-  // shut down cleanly, else the meta frame's fault parameters (a
-  // killed recorder still leaves a localizable archive).
-  if (collector.truth().has_value()) {
-    const archive::TruthRecord& truth = *collector.truth();
-    result.truth.slaveIndex = truth.slaveIndex;
-    result.truth.faultStart = truth.faultStart;
-    result.truth.faultEnd = truth.faultEnd;
-    result.jobsSubmitted = truth.jobsSubmitted;
-    result.jobsCompleted = truth.jobsCompleted;
-    result.tasksCompleted = truth.tasksCompleted;
-    result.tasksFailed = truth.tasksFailed;
-    result.speculativeLaunches = truth.speculativeLaunches;
-  } else {
-    const archive::ArchiveMeta& meta = collector.meta();
-    result.truth.slaveIndex =
-        meta.faultType == 0 ? -1 : static_cast<int>(meta.faultNode) - 1;
-    result.truth.faultStart = meta.faultStart;
-    result.truth.faultEnd = meta.faultEnd;
-  }
-  result.simulatedSeconds = spec.duration;
-
-  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
-  result.fptCoreMemMb =
-      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
-
-  recordChannelReports(result, client.transports(), spec);
-  result.syncDroppedSeconds = sync.droppedSeconds();
-  recordClientCounters(result, client);
-  return result;
+    // Ground truth: the recorded run's truth record when the recorder
+    // shut down cleanly, else the meta frame's fault parameters (a
+    // killed recorder still leaves a localizable archive).
+    if (collector.truth().has_value()) {
+      const archive::TruthRecord& truth = *collector.truth();
+      result.truth.slaveIndex = truth.slaveIndex;
+      result.truth.faultStart = truth.faultStart;
+      result.truth.faultEnd = truth.faultEnd;
+      result.jobsSubmitted = truth.jobsSubmitted;
+      result.jobsCompleted = truth.jobsCompleted;
+      result.tasksCompleted = truth.tasksCompleted;
+      result.tasksFailed = truth.tasksFailed;
+      result.speculativeLaunches = truth.speculativeLaunches;
+    } else {
+      const archive::ArchiveMeta& meta = collector.meta();
+      result.truth.slaveIndex =
+          meta.faultType == 0 ? -1 : static_cast<int>(meta.faultNode) - 1;
+      result.truth.faultStart = meta.faultStart;
+      result.truth.faultEnd = meta.faultEnd;
+    }
+  });
 }
 
 }  // namespace
@@ -437,145 +530,7 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
   if (spec.transport == TransportMode::kReplay) {
     return runReplayExperiment(spec, model);
   }
-  sim::SimEngine engine;
-  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 6151 + 3,
-                          engine);
-  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
-                                     spec.seed * 7411 + 1);
-  cluster.start();
-  gridmix.start();
-
-  rpc::RpcHub hub(cluster, /*attachTime=*/0.0);
-  modules::HadoopLogSync sync;
-
-  ExperimentResult result;
-
-  // The fault-tolerant collection layer is opt-in; injecting a
-  // monitoring fault implies it.
-  const bool ftRpc = spec.faultTolerantRpc || !spec.monitoringFaults.empty();
-  std::unique_ptr<rpc::RpcClient> client;
-  if (ftRpc) {
-    client = std::make_unique<rpc::RpcClient>(
-        cluster, hub, spec.rpcPolicy, spec.seed * 2654435761ULL + 97);
-  }
-
-  // Flight recorder: fault-tolerant runs tap the client (round
-  // outcomes included); the plain path taps the hub's daemons.
-  std::unique_ptr<archive::ArchiveWriter> recorder =
-      makeRecorder(spec, "sim");
-  if (recorder != nullptr) {
-    if (client != nullptr) {
-      client->setObserver(recorder.get());
-    } else {
-      hub.setObserver(recorder.get(), [&engine] { return engine.now(); });
-    }
-  }
-
-  core::Environment env;
-  env.provide("rpc", &hub);
-  env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
-  env.provide("hl_sync", &sync);
-  if (client != nullptr) {
-    env.provide("rpc_client", client.get());
-    env.provide("node_health", &client->health());
-  }
-  // Tiered analysis reduces per group before the root merge; the agg
-  // modules charge the summary traffic to tier-2 channels in the
-  // hub's registry so Table 4 reports bandwidth per tier. (FptCore
-  // copies the environment, so this must precede its construction.)
-  if (spec.tiered) env.provide("transports", &hub.transports());
-  std::mutex eventMutex;
-  wireSinks(env, result, eventMutex);
-
-  core::FptCore fpt(engine, env);
-  fpt.setExecutor(core::makeExecutor(spec.threads));
-  PipelineParams pipeline = spec.pipeline;
-  pipeline.slaves = spec.slaves;
-  if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
-  fpt.configureFromText(buildCombinedConfig(pipeline));
-
-  faults::FaultInjector injector(cluster, spec.fault);
-  injector.arm();
-
-  std::unique_ptr<faults::ScenarioInjector> scenario;
-  if (spec.scenario.cls != faults::ScenarioClass::kNone) {
-    scenario =
-        std::make_unique<faults::ScenarioInjector>(cluster, spec.scenario);
-    scenario->arm();
-  }
-
-  std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
-  for (const faults::MonitoringFaultSpec& mf : spec.monitoringFaults) {
-    monInjectors.push_back(std::make_unique<faults::MonitoringFaultInjector>(
-        engine, client->faults(), mf));
-    monInjectors.back()->arm();
-  }
-
-  engine.runUntil(spec.duration);
-
-  sortMonitoringEvents(result);
-
-  // Ground truth.
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  // A fault can end before the run does (a scheduled endTime, or the
-  // DiskHog completing its 20 GB write); windows after that are
-  // negatives.
-  result.truth.faultEnd =
-      injector.endedAt() != kNoTime ? injector.endedAt() : spec.fault.endTime;
-  if (scenario != nullptr) {
-    result.truth.culprits = scenario->culpritIndices();
-    result.truth.slaveIndex =
-        result.truth.culprits.empty() ? -1 : result.truth.culprits.front();
-    result.truth.faultStart = scenario->spec().startTime;
-    result.truth.faultEnd = scenario->endedAt() != kNoTime
-                                ? scenario->endedAt()
-                                : scenario->spec().endTime;
-    result.scenarioEvents = scenario->events();
-  }
-  result.simulatedSeconds = spec.duration;
-
-  // Table 3 accounting. CPU percentages are of one core, per node for
-  // the daemons (divide by slave count) and for the single control
-  // node for fpt-core, relative to the simulated wall-clock.
-  const double nodeSeconds = spec.duration * spec.slaves;
-  result.sadcRpcdCpuPct = 100.0 * hub.sadcCpuSeconds() / nodeSeconds;
-  result.hadoopLogRpcdCpuPct =
-      100.0 * hub.hadoopLogCpuSeconds() / nodeSeconds;
-  result.straceRpcdCpuPct = 100.0 * hub.straceCpuSeconds() / nodeSeconds;
-  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
-  result.sadcRpcdMemMb =
-      static_cast<double>(hub.sadcMemoryBytes()) / spec.slaves / 1.0e6;
-  result.hadoopLogRpcdMemMb =
-      static_cast<double>(hub.hadoopLogMemoryBytes()) / spec.slaves / 1.0e6;
-  result.straceRpcdMemMb =
-      static_cast<double>(hub.straceMemoryBytes()) / spec.slaves / 1.0e6;
-  result.fptCoreMemMb =
-      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
-
-  // Table 4 accounting. Channels that never carried a call (e.g. the
-  // strace extension when its module is not configured) are omitted.
-  recordChannelReports(result, hub.transports(), spec);
-
-  // Cluster health.
-  result.jobsSubmitted = cluster.jobTracker().jobsSubmitted();
-  result.jobsCompleted = cluster.jobTracker().jobsCompleted();
-  for (int i = 1; i <= spec.slaves; ++i) {
-    result.tasksCompleted += cluster.taskTracker(i).completedTasks();
-    result.tasksFailed += cluster.taskTracker(i).failedTasks();
-  }
-  result.speculativeLaunches = cluster.jobTracker().speculativeLaunches();
-  result.syncDroppedSeconds = sync.droppedSeconds();
-
-  if (client != nullptr) {
-    recordClientCounters(result, *client);
-  }
-  if (recorder != nullptr) {
-    recorder->writeTruth(truthFromResult(result));
-    recorder->close();
-  }
-  return result;
+  return runSimExperiment(spec, model);
 }
 
 ExperimentSummary summarize(const ExperimentResult& result) {

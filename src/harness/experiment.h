@@ -31,7 +31,9 @@
 
 namespace asdf::harness {
 
-/// How the collection plane reaches the monitored cluster.
+/// How the collection plane reaches the monitored cluster. Every mode
+/// fetches through an rpc::RpcClient; they differ in the collector
+/// behind it.
 ///   kSim    — in-process RpcHub daemons on the simulated clock (the
 ///             default; byte-identical to the pre-live-transport runs).
 ///   kLive   — real framed-TCP sockets to an asdf_rpcd daemon; module
@@ -64,10 +66,13 @@ struct ExperimentSpec {
   /// When >= 0, the GridMix mix flips at this time (workload change).
   double mixChangeTime = -1.0;
 
-  /// Routes all daemon fetches through the fault-tolerant RpcClient
-  /// (timeout/retry/breaker, health registry, degraded analysis).
-  /// Implied when monitoringFaults is non-empty. Off by default: the
-  /// legacy infallible path matches the paper's assumptions.
+  /// Every run fetches through the RpcClient (timeout/retry/breaker,
+  /// health registry, degraded analysis); this flag selects no code
+  /// path. Its one effect is on sim runs: the Table 2 PacketLoss fault
+  /// also fails monitoring RPC attempts (P = lossRate ^
+  /// rpcPolicy.lossFailureExponent) only when it is set or
+  /// monitoringFaults is non-empty. Off by default, so a lossy NIC
+  /// leaves the paper's infallible collection untouched.
   bool faultTolerantRpc = false;
   rpc::RpcPolicy rpcPolicy;
   std::vector<faults::MonitoringFaultSpec> monitoringFaults;
@@ -154,7 +159,7 @@ struct ExperimentResult {
   // Bandwidth (Table 4).
   std::vector<RpcChannelReport> rpcChannels;
 
-  // Monitoring-plane robustness (faultTolerantRpc runs only).
+  // Monitoring-plane robustness (RpcClient counters, every transport).
   long rpcRounds = 0;
   long rpcRetries = 0;
   long rpcFailedRounds = 0;
@@ -164,7 +169,8 @@ struct ExperimentResult {
   /// (time, channel) for deterministic cross-executor comparison.
   std::vector<core::MonitoringEvent> monitoringEvents;
   /// Per-node RPC attempt issue times (virtual seconds), for the
-  /// deterministic backoff-schedule tests.
+  /// deterministic backoff-schedule tests. Only rounds that retried or
+  /// failed contribute, so a healthy run leaves every list empty.
   std::map<NodeId, std::vector<double>> rpcAttemptTimes;
 
   // Cluster health (sanity).

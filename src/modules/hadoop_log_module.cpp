@@ -21,15 +21,16 @@
 // are newly available for its node — typically one per poll, one or
 // two iterations behind real time, exactly like the original.
 //
-// Degraded mode: when the environment provides an "rpc_client" service
-// and a fetch round fails (daemon crash, hang, partition, packet loss,
-// open breaker), the module must still feed the sync — a silent node
-// would hold back *every* peer's release forever. It synthesizes rows
-// from the last known state halves (zeros when nothing was ever
-// fetched) for the seconds the daemon should have finalized by now
-// (watermark minus a small finalization lag), so the cross-node
-// release cadence survives a dead collector. Real rows for seconds
-// already synthesized are discarded when the daemon recovers.
+// Polls go through the environment's "rpc_client" service (required).
+// Degraded mode: when a fetch round fails (daemon crash, hang,
+// partition, packet loss, open breaker), the module must still feed
+// the sync — a silent node would hold back *every* peer's release
+// forever. It synthesizes rows from the last known state halves (zeros
+// when nothing was ever fetched) for the seconds the daemon should
+// have finalized by now (watermark minus a small finalization lag), so
+// the cross-node release cadence survives a dead collector. Real rows
+// for seconds already synthesized are discarded when the daemon
+// recovers.
 #include <map>
 
 #include "common/error.h"
@@ -37,7 +38,6 @@
 #include "core/module.h"
 #include "hadooplog/states.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
 #include "rpc/rpc_client.h"
 
 namespace asdf::modules {
@@ -59,13 +59,7 @@ class HadoopLogModule final : public core::Module {
                         "] hadoop_log requires a 'node' parameter >= 1");
     }
     const double interval = ctx.numParam("interval", 1.0);
-    // Live-transport runs have no in-process hub (see sadc_module).
-    hub_ = ctx.env().get<rpc::RpcHub>("rpc");
-    client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
-    if (hub_ == nullptr && client_ == nullptr) {
-      throw ConfigError("[" + ctx.instanceId() +
-                        "] hadoop_log needs an 'rpc' hub or an 'rpc_client'");
-    }
+    client_ = &ctx.env().require<rpc::RpcClient>("rpc_client");
     sync_ = &ctx.env().require<HadoopLogSync>("hl_sync");
     sync_->registerNode(node_);
     out_ = ctx.addOutput("output0", strformat("slave%d", node_));
@@ -80,24 +74,17 @@ class HadoopLogModule final : public core::Module {
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
     const SimTime watermark = ctx.now();
-    rpc::NodeHealth health = rpc::NodeHealth::kHealthy;
-    if (client_ == nullptr) {
-      ingestTt(hub_->hadoopLog(node_).fetchTt(watermark));
-      ingestDn(hub_->hadoopLog(node_).fetchDn(watermark));
+    rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
+    auto tt = client_->fetchTt(node_, watermark, watermark);
+    auto dn = tt.ok ? client_->fetchDn(node_, watermark, watermark)
+                    : decltype(tt){};
+    if (tt.ok && dn.ok) {
+      ingestTt(tt.value);
+      ingestDn(dn.value);
+      health = (tt.retried || dn.retried) ? rpc::NodeHealth::kDegraded
+                                          : rpc::NodeHealth::kHealthy;
     } else {
-      auto tt = client_->fetchTt(node_, watermark, watermark);
-      auto dn = tt.ok ? client_->fetchDn(node_, watermark, watermark)
-                      : decltype(tt){};
-      if (tt.ok && dn.ok) {
-        ingestTt(tt.value);
-        ingestDn(dn.value);
-        health = (tt.retried || dn.retried) ? rpc::NodeHealth::kDegraded
-                                            : rpc::NodeHealth::kHealthy;
-      } else {
-        health = rpc::NodeHealth::kUnmonitorable;
-        synthesizeThrough(static_cast<long>(watermark) -
-                          kSynthesisLagSeconds);
-      }
+      synthesizeThrough(static_cast<long>(watermark) - kSynthesisLagSeconds);
     }
     for (auto& [second, wb] : sync_->drain(node_)) {
       (void)second;  // Sample time is the write time; the row order is
@@ -186,7 +173,6 @@ class HadoopLogModule final : public core::Module {
   }
 
   NodeId node_ = kInvalidNode;
-  rpc::RpcHub* hub_ = nullptr;
   rpc::RpcClient* client_ = nullptr;
   HadoopLogSync* sync_ = nullptr;
   int out_ = -1;

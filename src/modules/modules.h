@@ -12,16 +12,14 @@
 // objects); call it once at startup.
 //
 // Environment services the modules look up:
-//   "rpc"         rpc::RpcHub             — sadc, hadoop_log, strace
+//   "rpc_client"  rpc::RpcClient          — sadc, hadoop_log, strace
+//                                          (required: the one path to
+//                                          the daemons); analysis_bb,
+//                                          analysis_wb, agg_bb, agg_wb
+//                                          (optional; survivor health
+//                                          for degraded analysis)
 //   "bb_model"    analysis::BlackBoxModel — knn, analysis_bb
-//   "hl_sync"     modules::HadoopLogSync  — hadoop_log (optional;
-//                                          created implicitly if absent)
-//   "rpc_client"  rpc::RpcClient          — sadc, hadoop_log, strace,
-//                                          analysis_bb, analysis_wb,
-//                                          agg_bb, agg_wb
-//                                          (optional; enables the
-//                                          fault-tolerant collection
-//                                          path and degraded analysis)
+//   "hl_sync"     modules::HadoopLogSync  — hadoop_log
 //   "node_health" rpc::NodeHealthRegistry — node_health
 //   "transports"  rpc::TransportRegistry  — agg_bb, agg_wb (optional;
 //                                          Table 4 accounting of the

@@ -10,20 +10,17 @@
 //   health   — monitoring health of the fetch (rpc::NodeHealth code:
 //              0 healthy, 1 degraded/retried, 2 unmonitorable).
 //
-// When the environment provides an "rpc_client" service, fetches go
-// through the fault-tolerant RpcClient: a failed round (daemon crash,
-// hang, partition, packet loss, open breaker) does NOT block the
-// pipeline — the module re-emits the last known vector (zeros when
-// nothing was ever fetched) tagged health=2, so downstream windowing
-// keeps its cadence and the analysis modules can exclude the stale
-// stream. Without the service the fetch is direct and infallible, as
-// in the paper.
+// Fetches go through the environment's "rpc_client" service (required).
+// A failed round (daemon crash, hang, partition, packet loss, open
+// breaker) does NOT block the pipeline — the module re-emits the last
+// known vector (zeros when nothing was ever fetched) tagged health=2,
+// so downstream windowing keeps its cadence and the analysis modules
+// can exclude the stale stream.
 #include "common/error.h"
 #include "common/strings.h"
 #include "core/module.h"
 #include "metrics/sadc.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
 #include "rpc/rpc_client.h"
 
 namespace asdf::modules {
@@ -37,15 +34,7 @@ class SadcModule final : public core::Module {
                         "] sadc requires a 'node' parameter >= 1");
     }
     const double interval = ctx.numParam("interval", 1.0);
-    // Live-transport runs have no in-process hub — the RpcClient talks
-    // to asdf_rpcd over a socket — so the hub is required only when no
-    // client is available to fetch through.
-    hub_ = ctx.env().get<rpc::RpcHub>("rpc");
-    client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
-    if (hub_ == nullptr && client_ == nullptr) {
-      throw ConfigError("[" + ctx.instanceId() +
-                        "] sadc needs an 'rpc' hub or an 'rpc_client'");
-    }
+    client_ = &ctx.env().require<rpc::RpcClient>("rpc_client");
     out_ = ctx.addOutput("output0", strformat("slave%d", node_));
     healthOut_ = ctx.addOutput("health", strformat("slave%d", node_));
     ctx.requestPeriodic(interval);
@@ -55,18 +44,12 @@ class SadcModule final : public core::Module {
   }
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
-    rpc::NodeHealth health = rpc::NodeHealth::kHealthy;
-    if (client_ == nullptr) {
-      lastKnown_ = metrics::flattenNodeVector(hub_->sadc(node_).fetch());
-    } else {
-      auto fetched = client_->fetchSadc(node_, ctx.now());
-      if (fetched.ok) {
-        lastKnown_ = metrics::flattenNodeVector(fetched.value);
-        health = fetched.retried ? rpc::NodeHealth::kDegraded
-                                 : rpc::NodeHealth::kHealthy;
-      } else {
-        health = rpc::NodeHealth::kUnmonitorable;
-      }
+    rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
+    auto fetched = client_->fetchSadc(node_, ctx.now());
+    if (fetched.ok) {
+      lastKnown_ = metrics::flattenNodeVector(fetched.value);
+      health = fetched.retried ? rpc::NodeHealth::kDegraded
+                               : rpc::NodeHealth::kHealthy;
     }
     if (lastKnown_.empty()) {
       lastKnown_.assign(metrics::kFlatNodeVectorSize, 0.0);
@@ -82,7 +65,6 @@ class SadcModule final : public core::Module {
 
  private:
   NodeId node_ = kInvalidNode;
-  rpc::RpcHub* hub_ = nullptr;
   rpc::RpcClient* client_ = nullptr;
   int out_ = -1;
   int healthOut_ = -1;

@@ -21,7 +21,6 @@
 #include "common/strings.h"
 #include "core/module.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
 #include "rpc/rpc_client.h"
 #include "syscalls/markov.h"
 
@@ -37,13 +36,7 @@ class StraceModule final : public core::Module {
     }
     warmup_ = ctx.intParam("warmup", 120);
     scale_ = ctx.numParam("scale", 4.0);
-    // Live-transport runs have no in-process hub (see sadc_module).
-    hub_ = ctx.env().get<rpc::RpcHub>("rpc");
-    client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
-    if (hub_ == nullptr && client_ == nullptr) {
-      throw ConfigError("[" + ctx.instanceId() +
-                        "] strace needs an 'rpc' hub or an 'rpc_client'");
-    }
+    client_ = &ctx.env().require<rpc::RpcClient>("rpc_client");
     out_ = ctx.addOutput("output0", strformat("slave%d", node_));
     ctx.requestPeriodic(ctx.numParam("interval", 1.0));
     // The daemon charges collection CPU/network to this node's
@@ -52,23 +45,18 @@ class StraceModule final : public core::Module {
   }
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
-    syscalls::TraceSecond trace;
-    if (client_ == nullptr) {
-      trace = hub_->strace(node_).fetch();
-    } else {
-      auto fetched = client_->fetchStrace(node_, ctx.now());
-      if (!fetched.ok) {
-        // Keep the stream's cadence for downstream windowing: re-emit
-        // the last known score while the daemon is unreachable (no
-        // score at all during warmup — there is nothing to train on).
-        ++seconds_;
-        if (seconds_ > warmup_) {
-          ctx.write(out_, core::VecBuf{lastScore_});  // inline, no alloc
-        }
-        return;
+    auto fetched = client_->fetchStrace(node_, ctx.now());
+    if (!fetched.ok) {
+      // Keep the stream's cadence for downstream windowing: re-emit the
+      // last known score while the daemon is unreachable (no score at
+      // all during warmup — there is nothing to train on).
+      ++seconds_;
+      if (seconds_ > warmup_) {
+        ctx.write(out_, core::VecBuf{lastScore_});  // inline, no alloc
       }
-      trace = std::move(fetched.value);
+      return;
     }
+    const syscalls::TraceSecond& trace = fetched.value;
     ++seconds_;
     if (seconds_ <= warmup_) {
       model_.train(trace);
@@ -93,7 +81,6 @@ class StraceModule final : public core::Module {
   double scale_ = 4.0;
   long seconds_ = 0;
   double lastScore_ = 0.0;
-  rpc::RpcHub* hub_ = nullptr;
   rpc::RpcClient* client_ = nullptr;
   syscalls::MarkovModel model_;
   int out_ = -1;

@@ -35,6 +35,7 @@
 #include "net/cluster_stats.h"
 #include "net/proc_source.h"
 #include "net/shard_group.h"
+#include "rpc/collection_tap.h"
 #include "rpc/daemons.h"
 #include "sim/engine.h"
 #include "workload/gridmix.h"

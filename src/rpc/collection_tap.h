@@ -4,12 +4,11 @@
 // every transport serves, but it sits *above* rpc and net in the
 // library layering (archive -> net -> rpc), so neither layer may name
 // an archive type. Instead the collection plane exposes this small
-// observer interface and three taps implement "record what was
+// observer interface and two taps implement "record what was
 // collected" without knowing who is listening:
 //
-//   * RpcHub daemons (plain sim runs)      — RpcHub::setObserver
-//   * RpcClient fetch rounds (ft-sim/live) — RpcClient::setObserver
-//   * RpcdServer responses (daemon side)   — RpcdOptions::observer
+//   * RpcClient fetch rounds (sim/live runs) — RpcClient::setObserver
+//   * RpcdServer responses (daemon side)     — RpcdOptions::observer
 //
 // A sample carries the rpc-encoded payload bytes — the same bytes the
 // per-channel accounting charges — plus the round outcome (attempts,
@@ -19,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "common/types.h"
 
@@ -65,13 +63,6 @@ class CollectionObserver {
  public:
   virtual ~CollectionObserver() = default;
   virtual void onSample(const CollectSample& sample) = 0;
-};
-
-/// Observer plus the clock that timestamps hub-side samples (the hub
-/// daemons don't otherwise know the engine time their fetch runs at).
-struct CollectionTap {
-  CollectionObserver* observer = nullptr;
-  std::function<SimTime()> clock;
 };
 
 }  // namespace asdf::rpc

@@ -14,23 +14,6 @@ void chargeNode(hadoop::Node& node, double cpuSeconds, double txBytes) {
   node.addNetRx(kCollectRequestBytes);
 }
 
-// Hands the encoded response to the flight recorder, timestamped by
-// the tap's clock. Hub-path fetches are infallible single attempts.
-void emitTap(const CollectionTap* tap, CollectKind kind, NodeId node,
-             SimTime watermark, const Encoder& enc) {
-  if (tap == nullptr || tap->observer == nullptr) return;
-  CollectSample sample;
-  sample.kind = kind;
-  sample.node = node;
-  sample.now = tap->clock ? tap->clock() : kNoTime;
-  sample.watermark = watermark;
-  sample.attempts = 1;
-  sample.ok = true;
-  sample.payload = enc.bytes().data();
-  sample.payloadSize = enc.size();
-  tap->observer->onSample(sample);
-}
-
 }  // namespace
 
 SadcDaemon::SadcDaemon(hadoop::Node& node, TransportRegistry& transports)
@@ -45,7 +28,6 @@ metrics::SadcSnapshot SadcDaemon::fetch() {
   encodeSnapshot(enc, node_.sadcCollect());
   channel_.recordCall(kCollectRequestBytes, enc.size());
   chargeNode(node_, 2.0e-5, static_cast<double>(enc.size()));
-  emitTap(tap_, CollectKind::kSadc, node_.id(), kNoTime, enc);
   Decoder dec(enc.bytes());
   return decodeSnapshot(dec);
 }
@@ -73,13 +55,12 @@ HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node,
 }
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::roundTrip(
-    RpcChannelStats& channel, CollectKind kind, SimTime watermark,
+    RpcChannelStats& channel,
     const std::vector<hadooplog::StateSample>& samples) {
   Encoder enc;
   encodeSamples(enc, samples);
   channel.recordCall(kCollectRequestBytes, enc.size());
   chargeNode(node_, 1.0e-5, static_cast<double>(enc.size()));
-  emitTap(tap_, kind, node_.id(), watermark, enc);
   Decoder dec(enc.bytes());
   return decodeSamples(dec);
 }
@@ -90,8 +71,7 @@ std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchTt(
   ++calls_;
   ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
   ttCursor_ = node_.ttLog().lineCount();
-  return roundTrip(ttChannel_, CollectKind::kTt, watermark,
-                   ttParser_.poll(watermark));
+  return roundTrip(ttChannel_, ttParser_.poll(watermark));
 }
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchDn(
@@ -100,8 +80,7 @@ std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchDn(
   ++calls_;
   dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
   dnCursor_ = node_.dnLog().lineCount();
-  return roundTrip(dnChannel_, CollectKind::kDn, watermark,
-                   dnParser_.poll(watermark));
+  return roundTrip(dnChannel_, dnParser_.poll(watermark));
 }
 
 std::size_t HadoopLogDaemon::memoryFootprintBytes() const {
@@ -124,13 +103,6 @@ syscalls::TraceSecond StraceDaemon::fetch() {
   // Wire format: one byte per event plus a length prefix.
   channel_.recordCall(kCollectRequestBytes, 4 + trace.size());
   chargeNode(node_, 1.0e-5, static_cast<double>(trace.size()) + 4.0);
-  if (tap_ != nullptr && tap_->observer != nullptr) {
-    // The sim path skips marshalling (accounting uses the 4 + size
-    // convention); the recorder still needs real payload bytes.
-    Encoder enc;
-    encodeTrace(enc, trace);
-    emitTap(tap_, CollectKind::kStrace, node_.id(), kNoTime, enc);
-  }
   return trace;
 }
 
@@ -151,16 +123,6 @@ RpcHub::RpcHub(hadoop::Cluster& cluster, SimTime attachTime) {
                            std::make_unique<StraceDaemon>(*node,
                                                           transports_));
   }
-}
-
-void RpcHub::setObserver(CollectionObserver* observer,
-                         std::function<SimTime()> clock) {
-  tap_.observer = observer;
-  tap_.clock = std::move(clock);
-  const CollectionTap* tap = observer == nullptr ? nullptr : &tap_;
-  for (auto& [id, d] : sadcDaemons_) d->setTap(tap);
-  for (auto& [id, d] : logDaemons_) d->setTap(tap);
-  for (auto& [id, d] : straceDaemons_) d->setTap(tap);
 }
 
 SadcDaemon& RpcHub::sadc(NodeId node) { return *sadcDaemons_.at(node); }

@@ -22,7 +22,6 @@
 #include "hadoop/cluster.h"
 #include "hadooplog/parser.h"
 #include "metrics/os_model.h"
-#include "rpc/collection_tap.h"
 #include "rpc/transport.h"
 
 namespace asdf::rpc {
@@ -35,9 +34,6 @@ class SadcDaemon {
   /// account the bytes, decode and return it.
   metrics::SadcSnapshot fetch();
 
-  /// Flight-recorder tap (RpcHub::setObserver); may be null.
-  void setTap(const CollectionTap* tap) { tap_ = tap; }
-
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
   long calls() const { return calls_; }
@@ -45,7 +41,6 @@ class SadcDaemon {
  private:
   hadoop::Node& node_;
   RpcChannelStats& channel_;
-  const CollectionTap* tap_ = nullptr;
   CpuMeter cpu_;
   long calls_ = 0;
 };
@@ -64,21 +59,18 @@ class HadoopLogDaemon {
   /// Same for the DataNode log.
   std::vector<hadooplog::StateSample> fetchDn(SimTime watermark);
 
-  void setTap(const CollectionTap* tap) { tap_ = tap; }
-
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
   long calls() const { return calls_; }
 
  private:
   std::vector<hadooplog::StateSample> roundTrip(
-      RpcChannelStats& channel, CollectKind kind, SimTime watermark,
+      RpcChannelStats& channel,
       const std::vector<hadooplog::StateSample>& samples);
 
   hadoop::Node& node_;
   RpcChannelStats& ttChannel_;
   RpcChannelStats& dnChannel_;
-  const CollectionTap* tap_ = nullptr;
   hadooplog::TtLogParser ttParser_;
   hadooplog::DnLogParser dnParser_;
   std::size_t ttCursor_ = 0;
@@ -96,8 +88,6 @@ class StraceDaemon {
   /// Returns the most recent tick's syscall trace.
   syscalls::TraceSecond fetch();
 
-  void setTap(const CollectionTap* tap) { tap_ = tap; }
-
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
   long calls() const { return calls_; }
@@ -105,7 +95,6 @@ class StraceDaemon {
  private:
   hadoop::Node& node_;
   RpcChannelStats& channel_;
-  const CollectionTap* tap_ = nullptr;
   CpuMeter cpu_;
   long calls_ = 0;
 };
@@ -121,13 +110,6 @@ class RpcHub {
   StraceDaemon& strace(NodeId node);
   TransportRegistry& transports() { return transports_; }
 
-  /// Attaches a flight-recorder observer to every daemon. `clock`
-  /// timestamps the samples (pass the engine's now()). Null observer
-  /// detaches. Plain-sim archive recording taps here; fault-tolerant
-  /// runs tap RpcClient instead so round outcomes are captured too.
-  void setObserver(CollectionObserver* observer,
-                   std::function<SimTime()> clock);
-
   /// Aggregate daemon CPU seconds (Table 3).
   double sadcCpuSeconds() const;
   double hadoopLogCpuSeconds() const;
@@ -138,7 +120,6 @@ class RpcHub {
 
  private:
   TransportRegistry transports_;
-  CollectionTap tap_;
   std::map<NodeId, std::unique_ptr<SadcDaemon>> sadcDaemons_;
   std::map<NodeId, std::unique_ptr<HadoopLogDaemon>> logDaemons_;
   std::map<NodeId, std::unique_ptr<StraceDaemon>> straceDaemons_;

@@ -10,8 +10,11 @@
 namespace asdf::rpc {
 namespace {
 
-// Per-node attempt logs are bounded so week-long runs cannot grow them
-// without limit; the determinism tests only need the early schedule.
+// Per-node attempt logs are bounded so week-long runs under faults
+// cannot grow them without limit; the determinism tests only need the
+// early schedule. Only rounds that retried or failed are logged (a
+// first-attempt success is fully described by the round counters), so
+// a healthy run keeps its logs empty.
 constexpr std::size_t kMaxLoggedAttempts = 65536;
 
 std::uint64_t mixSeed(std::uint64_t seed, NodeId node) {
@@ -275,12 +278,11 @@ RpcClient::RoundOutcome RpcClient::round(NodeId node, Daemon d,
   const bool probing = st.breaker.state(now) == CircuitBreaker::State::kHalfOpen;
   const int maxAttempts = probing ? 1 : 1 + policy_.maxRetries;
 
-  RpcChannelStats& channel = hub_->transports().channel(channelName);
   SimTime t = now;
   for (int attempt = 0; attempt < maxAttempts; ++attempt) {
     double cost = 0.0;
     const bool ok = attemptSucceeds(st, node, d, cost);
-    if (st.log.size() < kMaxLoggedAttempts) {
+    if ((attempt > 0 || !ok) && st.log.size() < kMaxLoggedAttempts) {
       st.log.push_back(AttemptRecord{t, d, attempt, ok});
     }
     out.attempts = attempt + 1;
@@ -292,7 +294,8 @@ RpcClient::RoundOutcome RpcClient::round(NodeId node, Daemon d,
       registry_.markSuccess(node, d, now, out.retried);
       return out;
     }
-    channel.recordFailedCall(kCollectRequestBytes);
+    hub_->transports().channel(channelName).recordFailedCall(
+        kCollectRequestBytes);
     t += cost;
     if (attempt + 1 < maxAttempts) {
       const double backoff = std::min(
@@ -330,7 +333,7 @@ RpcClient::RoundOutcome RpcClient::liveRound(
   for (int i = 0; i < maxAttempts; ++i) {
     std::size_t responseBytes = 0;
     const bool ok = attempt(responseBytes);
-    if (st.log.size() < kMaxLoggedAttempts) {
+    if ((i > 0 || !ok) && st.log.size() < kMaxLoggedAttempts) {
       st.log.push_back(AttemptRecord{now, d, i, ok});
     }
     out.attempts = i + 1;

@@ -40,6 +40,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "hadoop/cluster.h"
+#include "rpc/collection_tap.h"
 #include "rpc/daemons.h"
 #include "rpc/live_collector.h"
 #include "rpc/wire.h"
@@ -71,7 +72,9 @@ struct RpcPolicy {
   int breakerThreshold = 3;       // consecutive failed rounds -> OPEN
   double breakerRecoverySeconds = 10.0;  // OPEN -> HALF_OPEN probe delay
   double baseLatencySeconds = 0.002;     // healthy round-trip time
-  double lossFailureExponent = 2.0;  // P(attempt fails) = lossRate^exp
+  /// P(attempt fails) = lossRate^exp. NIC loss rates lie in [0, 1),
+  /// so +infinity decouples packet loss from the monitoring plane.
+  double lossFailureExponent = 2.0;
 };
 
 /// Monitoring-plane fault state, poked by faults::MonitoringFaultInjector
@@ -192,6 +195,8 @@ struct AttemptRecord {
 
 class RpcClient {
  public:
+  /// Sim mode: fetches call the hub's in-process daemons; `cluster`
+  /// supplies the NIC loss rates that fail attempts.
   RpcClient(hadoop::Cluster& cluster, RpcHub& hub, RpcPolicy policy,
             std::uint64_t seed);
   /// Live mode: fetches go over a real socket transport instead of the
@@ -227,7 +232,6 @@ class RpcClient {
   MonitoringFaultBoard& faults() { return board_; }
   NodeHealthRegistry& health() { return registry_; }
   const RpcPolicy& policy() const { return policy_; }
-  RpcHub& hub() { return *hub_; }
   bool liveMode() const { return live_ != nullptr; }
   /// Per-channel byte accounting: the hub's registry in sim mode, the
   /// client's own in live mode.
@@ -238,6 +242,8 @@ class RpcClient {
   CircuitBreaker::State breakerState(NodeId node, SimTime now) const;
 
   /// Per-node attempt log (bounded; per-node order is deterministic).
+  /// Holds every attempt of rounds that retried or failed; a round
+  /// that succeeds on its first attempt logs nothing.
   const std::vector<AttemptRecord>& attemptLog(NodeId node) const;
 
   // Aggregate robustness counters, summed over nodes on demand (no

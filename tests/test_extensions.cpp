@@ -13,7 +13,7 @@
 #include "faults/faults.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
+#include "rpc/rpc_client.h"
 #include "workload/gridmix.h"
 
 namespace asdf {
@@ -28,7 +28,9 @@ class ExtensionTest : public ::testing::Test {
     cluster_.start();
     gridmix_.start();
     hub_ = std::make_unique<rpc::RpcHub>(cluster_, 0.0);
-    env_.provide("rpc", hub_.get());
+    client_ = std::make_unique<rpc::RpcClient>(cluster_, *hub_,
+                                               rpc::RpcPolicy{}, 4323);
+    env_.provide("rpc_client", client_.get());
   }
 
   static hadoop::HadoopParams makeParams() {
@@ -61,6 +63,7 @@ class ExtensionTest : public ::testing::Test {
   hadoop::Cluster cluster_;
   workload::GridMixGenerator gridmix_;
   std::unique_ptr<rpc::RpcHub> hub_;
+  std::unique_ptr<rpc::RpcClient> client_;
   core::Environment env_;
 };
 

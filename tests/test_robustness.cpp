@@ -235,6 +235,29 @@ TEST(Robustness, FaultTolerantPathMatchesLegacyWhenHealthy) {
   EXPECT_TRUE(ft.monitoringEvents.empty());
 }
 
+// Every sim run collects through the RpcClient; faultTolerantRpc only
+// decides whether the Table 2 PacketLoss fault also fails monitoring
+// RPC attempts. Without it the lossy node's rounds all succeed first
+// time (and log no attempts); with it they retry.
+TEST(Robustness, PacketLossFailsRpcAttemptsOnlyWhenFaultTolerant) {
+  ExperimentSpec spec = smallSpec();
+  spec.fault.type = faults::FaultType::kPacketLoss;
+  const analysis::BlackBoxModel model = trainModel(spec);
+
+  const ExperimentResult plain = runExperiment(spec, model);
+  EXPECT_GT(plain.rpcRounds, 0);
+  EXPECT_EQ(plain.rpcRetries, 0);
+  EXPECT_EQ(plain.rpcFailedRounds, 0);
+  for (const auto& [node, times] : plain.rpcAttemptTimes) {
+    EXPECT_TRUE(times.empty()) << "node " << node;
+  }
+
+  spec.faultTolerantRpc = true;
+  const ExperimentResult ft = runExperiment(spec, model);
+  EXPECT_GT(ft.rpcRetries, 0);
+  EXPECT_FALSE(ft.rpcAttemptTimes.at(spec.fault.node).empty());
+}
+
 // The node_health module publishes the per-node health timeline, and
 // the generated pipeline can record it through a csv_sink.
 TEST(Robustness, NodeHealthTimelineRecordedToCsv) {
