@@ -11,7 +11,6 @@
 // way the paper's injected problems slow real Hadoop tasks.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +74,12 @@ class TaskAttempt {
   /// True once a fault hook froze this attempt (it will never finish).
   bool hung() const { return hung_; }
 
+  /// Bytes this reduce attempt has copied from `source`'s map output.
+  double fetchedFrom(NodeId source) const {
+    const auto i = static_cast<std::size_t>(source);
+    return i < fetched_.size() ? fetched_[i] : 0.0;
+  }
+
  private:
   enum class Phase {
     kMapRead,
@@ -129,7 +134,7 @@ class TaskAttempt {
     topology::UplinkFlow flow;  // cross-rack uplink share (inert if same rack)
     double requested = 0.0;
   };
-  std::map<NodeId, double> fetched_;  // bytes fetched per source node
+  std::vector<double> fetched_;  // bytes fetched, indexed by source NodeId
   double fetchedTotal_ = 0.0;
   std::vector<FetchStream> streams_;  // this tick's active fetches
   int nextSourceRotation_ = 0;

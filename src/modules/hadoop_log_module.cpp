@@ -221,7 +221,8 @@ void HadoopLogSync::push(NodeId node, long second, core::VecBuf wb) {
       it = pending_.erase(it);
       continue;
     }
-    released_.push_back(ReleasedRow{it->first, std::move(it->second)});
+    released_.push_back(
+        ReleasedRow{it->first, std::move(it->second), nodes_.size()});
     it = pending_.erase(it);
   }
 }
@@ -230,30 +231,29 @@ std::vector<std::pair<long, core::VecBuf>> HadoopLogSync::drain(
     NodeId node) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<long, core::VecBuf>> out;
-  auto& cursor = drainCursor_[node];
-  if (cursor < releasedBase_) cursor = releasedBase_;
+  const auto cursorIt = drainCursor_.find(node);
+  if (cursorIt == drainCursor_.end()) return out;
+  std::size_t& cursor = cursorIt->second;
   const std::size_t end = releasedBase_ + released_.size();
-  while (cursor < end) {
-    const ReleasedRow& row = released_[cursor - releasedBase_];
+  for (; cursor < end; ++cursor) {
+    ReleasedRow& row = released_[cursor - releasedBase_];
     const auto it = row.byNode.find(node);
     if (it != row.byNode.end()) {
       out.emplace_back(row.second, it->second);  // shares the buffer
     }
-    ++cursor;
+    --row.owed;
   }
-  // Prune rows every registered node has drained: dropping the last
-  // handle releases each row's buffer back to its producer's pool.
-  std::size_t minCursor = end;
-  for (const NodeId n : nodes_) {
-    const auto it = drainCursor_.find(n);
-    const std::size_t c = it != drainCursor_.end() ? it->second : 0;
-    if (c < minCursor) minCursor = c;
+  // Prune the rows every registered node has drained: dropping the
+  // last handle releases each row's buffer back to its producer's
+  // pool. Cursors advance in order, so the drained rows are a prefix.
+  std::size_t drained = 0;
+  while (drained < released_.size() && released_[drained].owed == 0) {
+    ++drained;
   }
-  if (minCursor > releasedBase_) {
+  if (drained > 0) {
     released_.erase(released_.begin(),
-                    released_.begin() +
-                        static_cast<std::ptrdiff_t>(minCursor - releasedBase_));
-    releasedBase_ = minCursor;
+                    released_.begin() + static_cast<std::ptrdiff_t>(drained));
+    releasedBase_ += drained;
   }
   return out;
 }

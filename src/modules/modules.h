@@ -81,7 +81,8 @@ class HadoopLogSync {
 
   /// Released (second, row) handles for this node that have not been
   /// drained yet, in second order. Draining hands out cheap buffer
-  /// references; the payload bytes are never duplicated.
+  /// references; the payload bytes are never duplicated. A node that
+  /// was never registered drains nothing.
   std::vector<std::pair<long, core::VecBuf>> drain(NodeId node);
 
   long droppedSeconds() const {
@@ -97,15 +98,21 @@ class HadoopLogSync {
   struct ReleasedRow {
     long second;
     std::map<NodeId, core::VecBuf> byNode;
+    /// Registered nodes whose cursor has not passed this row yet;
+    /// nodes_.size() at release (later registrants start past it).
+    std::size_t owed;
   };
 
   mutable std::mutex mutex_;
   std::set<NodeId> nodes_;
+  /// Incomplete seconds. Allocates a map node per push; only the
+  /// released rows' buffers are recycled.
   std::map<long, std::map<NodeId, core::VecBuf>> pending_;
   /// Released rows not yet drained by every node. released_[i] holds
-  /// absolute row index releasedBase_ + i; rows every cursor has
-  /// passed are pruned so their buffers return to the producers'
-  /// pools (zero steady-state allocations end to end).
+  /// absolute row index releasedBase_ + i. Each drain decrements the
+  /// `owed` count of the rows its cursor passes, and the prefix whose
+  /// count reached zero is pruned, so the row buffers return to the
+  /// producers' pools at O(1) amortized cost per (node, row).
   std::vector<ReleasedRow> released_;
   std::size_t releasedBase_ = 0;
   std::map<NodeId, std::size_t> drainCursor_;  // absolute row indices

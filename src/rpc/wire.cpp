@@ -31,11 +31,21 @@ void Encoder::putString(const std::string& s) {
 
 void Encoder::putDoubleVector(const std::vector<double>& v) {
   putU32(static_cast<std::uint32_t>(v.size()));
-  for (double d : v) putDouble(d);
+  // One resize, then the same big-endian bytes putDouble would append.
+  const std::size_t start = buf_.size();
+  buf_.resize(start + 8 * v.size());
+  std::uint8_t* out = buf_.data() + start;
+  for (const double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    bytes::storeU32(out, static_cast<std::uint32_t>(bits >> 32));
+    bytes::storeU32(out + 4, static_cast<std::uint32_t>(bits));
+    out += 8;
+  }
 }
 
 void Decoder::need(std::size_t n) {
-  if (pos_ + n > buf_.size()) {
+  if (n > buf_.size() - pos_) {
     throw RpcError("wire decode: truncated message");
   }
 }
@@ -76,9 +86,19 @@ std::string Decoder::getString() {
 
 std::vector<double> Decoder::getDoubleVector() {
   const std::uint32_t n = getU32();
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(getDouble());
+  // Check the untrusted length against the bytes left before sizing
+  // anything from it: a hostile prefix must fail as an RpcError, not
+  // as a multi-gigabyte allocation.
+  const std::size_t len = 8 * static_cast<std::size_t>(n);
+  need(len);
+  std::vector<double> v(n);
+  const std::uint8_t* in = buf_.data() + pos_;
+  for (double& d : v) {
+    const std::uint64_t bits = bytes::readU64(in);
+    std::memcpy(&d, &bits, sizeof(d));
+    in += 8;
+  }
+  pos_ += len;
   return v;
 }
 

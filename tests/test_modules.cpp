@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -719,6 +720,100 @@ TEST_F(ModulesTest, HadoopLogSyncDropsStaleIncompleteSeconds) {
   const auto rows = sync.drain(1);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].first, 1);
+}
+
+// A heap-backed row (more than VecBuf's inline capacity) plus a weak
+// handle that expires once the sync prunes the row and the test drops
+// its drained copies: pruning is visible as the buffer being freed.
+struct TrackedRow {
+  core::VecBuf buf;
+  std::weak_ptr<std::vector<double>> alive;
+};
+
+TrackedRow trackedRow(double value) {
+  auto shared = std::make_shared<std::vector<double>>(8, value);
+  return TrackedRow{core::VecBuf(shared), shared};
+}
+
+TEST_F(ModulesTest, HadoopLogSyncLateDrainerReceivesEveryRow) {
+  HadoopLogSync sync;
+  for (NodeId n = 1; n <= 3; ++n) sync.registerNode(n);
+  std::vector<std::weak_ptr<std::vector<double>>> rows;
+  for (long second = 0; second < 2; ++second) {
+    for (NodeId n = 1; n <= 3; ++n) {
+      TrackedRow row = trackedRow(10.0 * second + n);
+      rows.push_back(row.alive);
+      sync.push(n, second, std::move(row.buf));
+    }
+    // Nodes 1 and 2 drain each second; node 3 has not drained yet.
+    EXPECT_EQ(sync.drain(1).size(), 1u);
+    EXPECT_EQ(sync.drain(2).size(), 1u);
+  }
+  for (const auto& row : rows) EXPECT_FALSE(row.expired());  // node 3 owed
+
+  const auto late = sync.drain(3);
+  ASSERT_EQ(late.size(), 2u);
+  EXPECT_EQ(late[0].first, 0);
+  EXPECT_EQ(late[1].first, 1);
+  EXPECT_DOUBLE_EQ(late[0].second[0], 3.0);
+  EXPECT_DOUBLE_EQ(late[1].second[0], 13.0);
+  // Node 3's drained copies still hold its own buffers; every other
+  // buffer was freed by the pruning.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].expired(), i % 3 != 2) << i;
+  }
+}
+
+TEST_F(ModulesTest, HadoopLogSyncLateRegistrantSkipsOlderRows) {
+  HadoopLogSync sync;
+  sync.registerNode(1);
+  sync.registerNode(2);
+  TrackedRow a = trackedRow(1.0);
+  TrackedRow b = trackedRow(2.0);
+  const auto aAlive = a.alive;
+  const auto bAlive = b.alive;
+  sync.push(1, 0, std::move(a.buf));
+  sync.push(2, 0, std::move(b.buf));  // releases second 0
+  sync.registerNode(3);
+
+  EXPECT_TRUE(sync.drain(3).empty());  // second 0 predates node 3
+  EXPECT_EQ(sync.drain(1).size(), 1u);
+  EXPECT_EQ(sync.drain(2).size(), 1u);
+  // Node 3 never drained second 0, yet it was pruned.
+  EXPECT_TRUE(aAlive.expired());
+  EXPECT_TRUE(bAlive.expired());
+
+  for (NodeId n = 1; n <= 3; ++n) sync.push(n, 1, {static_cast<double>(n)});
+  const auto rows = sync.drain(3);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].first, 1);
+  EXPECT_DOUBLE_EQ(rows[0].second[0], 3.0);
+}
+
+TEST_F(ModulesTest, HadoopLogSyncUnregisteredDrainIsInert) {
+  HadoopLogSync sync;
+  sync.registerNode(1);
+  sync.registerNode(2);
+  EXPECT_TRUE(sync.drain(9).empty());
+  sync.push(1, 0, {1.0});
+  sync.push(2, 0, {2.0});
+  EXPECT_TRUE(sync.drain(9).empty());  // not registered: nothing owed
+
+  // Second 1 is released, then node 9 registers: its first drain must
+  // not have left a cursor behind that now holds second 1 back.
+  TrackedRow a = trackedRow(1.1);
+  TrackedRow b = trackedRow(2.1);
+  const auto aAlive = a.alive;
+  const auto bAlive = b.alive;
+  sync.push(1, 1, std::move(a.buf));
+  sync.push(2, 1, std::move(b.buf));
+  sync.registerNode(9);
+  EXPECT_EQ(sync.drain(1).size(), 2u);
+  EXPECT_EQ(sync.drain(2).size(), 2u);
+  EXPECT_TRUE(aAlive.expired());
+  EXPECT_TRUE(bAlive.expired());
+  EXPECT_TRUE(sync.drain(9).empty());
+  EXPECT_EQ(sync.registeredNodes(), 3u);
 }
 
 TEST_F(ModulesTest, SadcModuleRequiresNodeParam) {

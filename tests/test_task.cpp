@@ -3,6 +3,9 @@
 // resource consumption, log emission, and fault latching.
 #include "hadoop/task.h"
 
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
@@ -14,11 +17,12 @@ namespace {
 
 class TaskTest : public ::testing::Test {
  protected:
-  TaskTest() : cluster_(makeParams(), 31, engine_) {}
+  explicit TaskTest(int slaves = 4)
+      : cluster_(makeParams(slaves), 31, engine_) {}
 
-  static HadoopParams makeParams() {
+  static HadoopParams makeParams(int slaves) {
     HadoopParams p;
-    p.slaveCount = 4;
+    p.slaveCount = slaves;
     return p;
   }
 
@@ -38,11 +42,12 @@ class TaskTest : public ::testing::Test {
   TaskOutcome tick(TaskAttempt& attempt) {
     const SimTime now = engine_.now() + 1.0;
     engine_.runUntil(now);
-    for (NodeId n = 0; n <= 4; ++n) cluster_.node(n).beginTick();
+    const NodeId last = cluster_.slaveCount();
+    for (NodeId n = 0; n <= last; ++n) cluster_.node(n).beginTick();
     attempt.requestResources(now);
-    for (NodeId n = 0; n <= 4; ++n) cluster_.node(n).finalizeResources();
+    for (NodeId n = 0; n <= last; ++n) cluster_.node(n).finalizeResources();
     const TaskOutcome outcome = attempt.advance(now, 1.0);
-    for (NodeId n = 0; n <= 4; ++n) cluster_.node(n).endTick(now);
+    for (NodeId n = 0; n <= last; ++n) cluster_.node(n).endTick(now);
     return outcome;
   }
 
@@ -151,6 +156,71 @@ TEST_F(TaskTest, ReduceWalksCopySortWrite) {
   EXPECT_TRUE(wrote);
   // Output blocks were registered for cleanup.
   EXPECT_FALSE(job.outputBlocks().empty());
+}
+
+class WideTaskTest : public TaskTest {
+ protected:
+  WideTaskTest() : TaskTest(40) {}
+};
+
+// The reduce-copy scan over a 40-slave cluster whose map output sits
+// on a sparse subset of nodes, with two more maps landing mid-copy.
+// Eleven sources exceed the eight parallel fetches, so the round-robin
+// rotation decides which sources each tick serves. Pins the sources
+// each tick fetches from, the bytes per source after six ticks and the
+// tick the copy turns to sort, all recorded from the reference run.
+TEST_F(WideTaskTest, ReduceCopyRotationIsPinned) {
+  Job& job = submitJob(12 * 16.0e6, 2, 3.0);
+  ASSERT_EQ(job.numMaps(), 12);
+  const NodeId early[] = {3, 5, 9, 9, 14, 21, 22, 27, 33, 38};
+  for (int m = 0; m < 10; ++m) job.completeMap(m, early[m], 10.0);
+  TaskAttempt attempt(cluster_, job, /*isMap=*/false, 0, 0,
+                      cluster_.node(1));
+  attempt.start(0.0);
+
+  std::vector<std::vector<NodeId>> servedPerTick;
+  std::vector<double> fetched(41, 0.0);
+  int sortTick = -1;
+  for (int t = 1; t <= 300 && sortTick < 0; ++t) {
+    if (t == 4) {
+      job.completeMap(10, 12, 10.0);
+      job.completeMap(11, 30, 10.0);
+    }
+    ASSERT_EQ(tick(attempt), TaskOutcome::kRunning);
+    if (t <= 6) {
+      std::vector<NodeId> served;
+      for (NodeId n = 1; n <= 40; ++n) {
+        double& seen = fetched[static_cast<std::size_t>(n)];
+        if (attempt.fetchedFrom(n) > seen) served.push_back(n);
+        seen = attempt.fetchedFrom(n);
+      }
+      servedPerTick.push_back(served);
+    }
+    if (logContains(cluster_.node(1), "reduce > sort")) sortTick = t;
+  }
+  const std::vector<std::vector<NodeId>> expectedServed = {
+      {3, 5, 9, 14, 21, 22, 27, 33},  {3, 5, 9, 14, 21, 22, 27, 38},
+      {3, 5, 9, 14, 21, 22, 33, 38},  {3, 5, 9, 12, 27, 30, 33, 38},
+      {3, 14, 21, 22, 27, 30, 33, 38}, {5, 9, 12, 14, 21, 22, 27, 30},
+  };
+  EXPECT_EQ(servedPerTick, expectedServed);
+  const std::map<NodeId, double> expectedAfterSix = {
+      {3, 20.0e6},  {5, 20.0e6},  {9, 20.0e6}, {12, 8.0e6},
+      {14, 20.0e6}, {21, 20.0e6}, {22, 20.0e6}, {27, 20.0e6},
+      {30, 12.0e6}, {33, 16.0e6}, {38, 16.0e6},
+  };
+  for (NodeId n = 1; n <= 40; ++n) {
+    const auto it = expectedAfterSix.find(n);
+    EXPECT_DOUBLE_EQ(fetched[static_cast<std::size_t>(n)],
+                     it != expectedAfterSix.end() ? it->second : 0.0)
+        << "source " << n;
+  }
+  EXPECT_EQ(sortTick, 13);
+  // Every source's output was copied in full before the sort.
+  for (NodeId n = 1; n <= 40; ++n) {
+    EXPECT_DOUBLE_EQ(attempt.fetchedFrom(n), job.shuffleAvailable(n))
+        << "source " << n;
+  }
 }
 
 TEST_F(TaskTest, ReduceCopyFailureFaultKillsAttempt) {

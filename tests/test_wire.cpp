@@ -1,5 +1,8 @@
 #include "rpc/wire.h"
 
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -78,6 +81,63 @@ TEST(Wire, TruncatedMessageThrows) {
   std::vector<std::uint8_t> cut(enc.bytes().begin(), enc.bytes().end() - 1);
   Decoder dec(cut);
   EXPECT_THROW(dec.getDouble(), RpcError);
+}
+
+TEST(Wire, HostileVectorLengthThrowsRpcError) {
+  // A length prefix near 2^32 with two doubles behind it: the decoder
+  // must reject it from the bytes left, before sizing a vector by it.
+  for (const std::uint32_t length : {0xFFFFFFF0u, 0xFFFFFFFFu, 3u}) {
+    Encoder enc;
+    enc.putU32(length);
+    enc.putDouble(1.0);
+    enc.putDouble(2.0);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(dec.getDoubleVector(), RpcError) << length;
+  }
+}
+
+TEST(Wire, BulkVectorBytesMatchScalarEncoding) {
+  auto fromBits = [](std::uint64_t bits) {
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  };
+  const std::vector<double> values = {
+      fromBits(0x7FF80000DEADBEEFULL),  // quiet NaN with a payload
+      -0.0,
+      fromBits(0x0000000000000001ULL),  // smallest denormal
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+  };
+  Encoder bulk;
+  bulk.putDoubleVector({});
+  bulk.putDoubleVector(values);
+  Encoder scalar;
+  scalar.putU32(0);
+  scalar.putU32(static_cast<std::uint32_t>(values.size()));
+  for (const double d : values) scalar.putDouble(d);
+  EXPECT_EQ(bulk.bytes(), scalar.bytes());
+
+  const std::vector<std::uint8_t> golden = {
+      0x00, 0x00, 0x00, 0x00,                          // empty vector
+      0x00, 0x00, 0x00, 0x05,                          // five doubles
+      0x7F, 0xF8, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF,  // NaN payload
+      0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // -0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // denormal
+      0x7F, 0xF0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // +inf
+      0xFF, 0xF0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // -inf
+  };
+  EXPECT_EQ(bulk.bytes(), golden);
+
+  // Decoding restores every bit pattern, NaN payload included.
+  Decoder dec(bulk.bytes());
+  EXPECT_TRUE(dec.getDoubleVector().empty());
+  const std::vector<double> back = dec.getDoubleVector();
+  ASSERT_EQ(back.size(), values.size());
+  EXPECT_EQ(std::memcmp(back.data(), values.data(),
+                        values.size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(dec.exhausted());
 }
 
 TEST(Wire, MixedSequenceRoundTrip) {
