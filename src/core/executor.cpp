@@ -9,7 +9,9 @@ namespace asdf::core {
 // ---------------------------------------------------------------------------
 // SerialExecutor
 
-void SerialExecutor::runBatch(std::vector<Task>& batch) {
+void SerialExecutor::runBatch(std::vector<Task>& batch, CpuMeter& meter) {
+  if (batch.empty()) return;
+  CpuMeter::Scope scope(meter);
   for (Task& task : batch) task();
 }
 
@@ -41,6 +43,12 @@ void ThreadPoolExecutor::workerLoop() {
     wake_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
     if (shutdown_) return;
     seen = generation_;
+    if (batch_ == nullptr || nextIndex_ >= batch_->size()) continue;
+    // One thread-CPU scope around this worker's whole share of the
+    // batch. It is declared after `lock`, so it closes while the lock
+    // is held: before the last task's completion can wake runBatch,
+    // which therefore returns with the meter complete.
+    CpuMeter::Scope scope(*meter_);
     while (batch_ != nullptr && nextIndex_ < batch_->size()) {
       const std::size_t index = nextIndex_++;
       lock.unlock();
@@ -57,10 +65,12 @@ void ThreadPoolExecutor::workerLoop() {
   }
 }
 
-void ThreadPoolExecutor::runBatch(std::vector<Task>& batch) {
+void ThreadPoolExecutor::runBatch(std::vector<Task>& batch,
+                                  CpuMeter& meter) {
   if (batch.empty()) return;
   std::unique_lock<std::mutex> lock(mutex_);
   batch_ = &batch;
+  meter_ = &meter;
   errors_.assign(batch.size(), nullptr);
   nextIndex_ = 0;
   remaining_ = batch.size();

@@ -17,7 +17,11 @@
 //                       interleaving differs.
 //
 // Executors are deliberately dumb: a batch of opaque closures, run to
-// completion, first exception rethrown after the barrier. All DAG
+// completion, first exception rethrown after the barrier. They also
+// meter the batch: every thread that executes tasks of a batch opens
+// one thread-CPU scope around its whole share of it (one per batch
+// inline, one per worker per batch on the pool), so fpt-core's Table 3
+// figure costs a few clock reads per level instead of two per run. All DAG
 // knowledge (levels, exclusivity domains, deterministic notification
 // merging) stays in the scheduler, which is what makes the back-end
 // swappable from the command line (`asdfd --threads N`) without any
@@ -34,6 +38,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/cputime.h"
 
 namespace asdf::core {
 
@@ -53,7 +59,9 @@ class Executor {
   /// Tasks within one batch must be independent; the executor may run
   /// them in any order. If tasks throw, the exception of the
   /// lowest-indexed throwing task is rethrown after all tasks ended.
-  virtual void runBatch(std::vector<Task>& batch) = 0;
+  /// The thread CPU time of every thread executing the batch's tasks is
+  /// added to `meter` before runBatch returns.
+  virtual void runBatch(std::vector<Task>& batch, CpuMeter& meter) = 0;
 };
 
 /// Inline, in-order execution — the deterministic default.
@@ -61,7 +69,7 @@ class SerialExecutor final : public Executor {
  public:
   const std::string& name() const override { return name_; }
   int concurrency() const override { return 1; }
-  void runBatch(std::vector<Task>& batch) override;
+  void runBatch(std::vector<Task>& batch, CpuMeter& meter) override;
 
  private:
   std::string name_ = "serial";
@@ -81,7 +89,7 @@ class ThreadPoolExecutor final : public Executor {
 
   const std::string& name() const override { return name_; }
   int concurrency() const override { return static_cast<int>(workers_.size()); }
-  void runBatch(std::vector<Task>& batch) override;
+  void runBatch(std::vector<Task>& batch, CpuMeter& meter) override;
 
  private:
   void workerLoop();
@@ -93,6 +101,7 @@ class ThreadPoolExecutor final : public Executor {
   std::condition_variable wake_;   // workers wait for a new batch
   std::condition_variable done_;   // runBatch waits for completion
   std::vector<Task>* batch_ = nullptr;
+  CpuMeter* meter_ = nullptr;
   std::vector<std::exception_ptr> errors_;
   std::size_t nextIndex_ = 0;
   std::size_t remaining_ = 0;

@@ -444,7 +444,7 @@ void FptCore::dispatchWavefront() {
       });
     }
     try {
-      executor_->runBatch(tasks_);
+      executor_->runBatch(tasks_, cpu_);
     } catch (...) {
       for (const ReadyRun& run : levelRuns_) {
         run.instance->deferredWrites_.clear();
@@ -474,7 +474,6 @@ void FptCore::dispatchWavefront() {
 }
 
 void FptCore::runInstance(ModuleInstance& instance, RunReason reason) {
-  CpuMeter::Scope scope(cpu_);
   totalRuns_.fetch_add(1, std::memory_order_relaxed);
   ++instance.runs_;
   InstanceContext ctx(*this, instance);

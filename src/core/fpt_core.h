@@ -94,9 +94,12 @@ class FptCore {
   Environment& env() { return env_; }
   sim::SimEngine& engine() { return engine_; }
 
-  /// Real CPU seconds spent executing module code (Table 3). Under a
-  /// parallel executor this sums CPU time across worker threads.
+  /// Real CPU seconds spent executing module code (Table 3): the thread
+  /// CPU time of every executor batch, summed across the threads that
+  /// ran it. It also covers the scheduler's per-run loop inside a task.
   double cpuSeconds() const { return cpu_.seconds(); }
+  /// The meter behind cpuSeconds(); scopes() counts its clock scopes.
+  const CpuMeter& cpuMeter() const { return cpu_; }
   /// Approximate resident footprint of the graph (Table 3).
   std::size_t memoryFootprintBytes() const;
   /// Total module run() invocations (sanity/throughput metrics).

@@ -31,6 +31,7 @@
 // the cross-node release cadence survives a dead collector. Real rows
 // for seconds already synthesized are discarded when the daemon
 // recovers.
+#include <iterator>
 #include <map>
 
 #include "common/error.h"
@@ -202,52 +203,78 @@ void registerHadoopLogModule(core::ModuleRegistry& registry) {
 
 void HadoopLogSync::registerNode(NodeId node) {
   std::lock_guard<std::mutex> lock(mutex_);
-  nodes_.insert(node);
-  drainCursor_.emplace(node, releasedBase_ + released_.size());
+  const bool isNew = slots_.try_emplace(node, drainCursor_.size()).second;
+  if (isNew) drainCursor_.push_back(releasedBase_ + released_.size());
+}
+
+std::size_t HadoopLogSync::slotOf(NodeId node) const {
+  const auto it = slots_.find(node);
+  return it == slots_.end() ? kNoSlot : it->second;
+}
+
+HadoopLogSync::Row HadoopLogSync::takeRow(long second) {
+  Row row;
+  row.second = second;
+  if (!spare_.empty()) {
+    row.bySlot = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  return row;
+}
+
+void HadoopLogSync::recycle(Row& row) {
+  for (auto& buf : row.bySlot) buf.reset();
+  spare_.push_back(std::move(row.bySlot));
 }
 
 void HadoopLogSync::push(NodeId node, long second, core::VecBuf wb) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& row = pending_[second];
-  row[node] = std::move(wb);
-  if (row.size() < nodes_.size()) return;
-
-  // Complete: release this row and drop any older incomplete seconds —
-  // they can no longer complete in order.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->first > second) break;
-    if (it->first < second) {
-      ++dropped_;
-      it = pending_.erase(it);
-      continue;
-    }
-    released_.push_back(
-        ReleasedRow{it->first, std::move(it->second), nodes_.size()});
-    it = pending_.erase(it);
+  const std::size_t slot = slotOf(node);
+  if (slot == kNoSlot) return;
+  // Seconds arrive mostly in order: find the row from the back.
+  auto it = pending_.end();
+  while (it != pending_.begin() && std::prev(it)->second >= second) --it;
+  if (it == pending_.end() || it->second != second) {
+    it = pending_.insert(it, takeRow(second));
   }
+  Row& row = *it;
+  if (row.bySlot.size() <= slot) row.bySlot.resize(drainCursor_.size());
+  if (!row.bySlot[slot].has_value()) ++row.count;
+  row.bySlot[slot] = std::move(wb);
+  if (row.count < drainCursor_.size()) return;
+
+  // Complete: release this row and drop the older incomplete seconds —
+  // they can no longer complete in order.
+  for (auto older = pending_.begin(); older != it; ++older) {
+    ++dropped_;
+    recycle(*older);
+  }
+  row.count = drainCursor_.size();
+  released_.push_back(std::move(row));
+  pending_.erase(pending_.begin(), it + 1);
 }
 
 std::vector<std::pair<long, core::VecBuf>> HadoopLogSync::drain(
     NodeId node) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<long, core::VecBuf>> out;
-  const auto cursorIt = drainCursor_.find(node);
-  if (cursorIt == drainCursor_.end()) return out;
-  std::size_t& cursor = cursorIt->second;
+  const std::size_t slot = slotOf(node);
+  if (slot == kNoSlot) return out;
+  std::size_t& cursor = drainCursor_[slot];
   const std::size_t end = releasedBase_ + released_.size();
   for (; cursor < end; ++cursor) {
-    ReleasedRow& row = released_[cursor - releasedBase_];
-    const auto it = row.byNode.find(node);
-    if (it != row.byNode.end()) {
-      out.emplace_back(row.second, it->second);  // shares the buffer
+    Row& row = released_[cursor - releasedBase_];
+    if (slot < row.bySlot.size() && row.bySlot[slot].has_value()) {
+      out.emplace_back(row.second, *row.bySlot[slot]);  // shares the buffer
     }
-    --row.owed;
+    --row.count;
   }
   // Prune the rows every registered node has drained: dropping the
   // last handle releases each row's buffer back to its producer's
   // pool. Cursors advance in order, so the drained rows are a prefix.
   std::size_t drained = 0;
-  while (drained < released_.size() && released_[drained].owed == 0) {
+  while (drained < released_.size() && released_[drained].count == 0) {
+    recycle(released_[drained]);
     ++drained;
   }
   if (drained > 0) {

@@ -33,10 +33,11 @@
 //                                          analysis_wb_merge
 #pragma once
 
-#include <deque>
-#include <map>
+#include <cstddef>
 #include <mutex>
-#include <set>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -76,7 +77,8 @@ class HadoopLogSync {
 
   /// Adds node's white-box vector for `second`; may release rows.
   /// Rows are immutable COW buffers, so every instance draining the
-  /// same second shares one payload instead of copying it.
+  /// same second shares one payload instead of copying it. A push from
+  /// a node that was never registered is ignored.
   void push(NodeId node, long second, core::VecBuf wb);
 
   /// Released (second, row) handles for this node that have not been
@@ -91,31 +93,48 @@ class HadoopLogSync {
   }
   std::size_t registeredNodes() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return nodes_.size();
+    return drainCursor_.size();
   }
 
  private:
-  struct ReleasedRow {
-    long second;
-    std::map<NodeId, core::VecBuf> byNode;
-    /// Registered nodes whose cursor has not passed this row yet;
-    /// nodes_.size() at release (later registrants start past it).
-    std::size_t owed;
+  /// A registered node's index into every row's slot vector; nodes are
+  /// numbered in registration order.
+  using Slots = std::vector<std::optional<core::VecBuf>>;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// One second's row. While pending, `count` is the number of slots
+  /// pushed so far; once released, it is the number of registered
+  /// nodes whose cursor has not passed the row yet (the registered
+  /// count at release: later registrants start past it).
+  struct Row {
+    long second = 0;
+    Slots bySlot;
+    std::size_t count = 0;
   };
 
+  std::size_t slotOf(NodeId node) const;
+  /// An empty row for `second`, reusing a recycled slot vector.
+  Row takeRow(long second);
+  /// Drops the row's buffer handles (returning the buffers to the
+  /// producers' pools) and keeps its slot vector for reuse.
+  void recycle(Row& row);
+
   mutable std::mutex mutex_;
-  std::set<NodeId> nodes_;
-  /// Incomplete seconds. Allocates a map node per push; only the
-  /// released rows' buffers are recycled.
-  std::map<long, std::map<NodeId, core::VecBuf>> pending_;
+  std::unordered_map<NodeId, std::size_t> slots_;
+  /// Per slot: absolute index of the next released row to drain.
+  std::vector<std::size_t> drainCursor_;
+  /// Incomplete seconds, ascending. Rows and their slot vectors are
+  /// recycled through spare_, so the steady state allocates nothing
+  /// per push.
+  std::vector<Row> pending_;
+  std::vector<Slots> spare_;
   /// Released rows not yet drained by every node. released_[i] holds
   /// absolute row index releasedBase_ + i. Each drain decrements the
-  /// `owed` count of the rows its cursor passes, and the prefix whose
-  /// count reached zero is pruned, so the row buffers return to the
+  /// `count` of the rows its cursor passes, and the prefix whose count
+  /// reached zero is pruned, so the row buffers return to the
   /// producers' pools at O(1) amortized cost per (node, row).
-  std::vector<ReleasedRow> released_;
+  std::vector<Row> released_;
   std::size_t releasedBase_ = 0;
-  std::map<NodeId, std::size_t> drainCursor_;  // absolute row indices
   long dropped_ = 0;
 };
 

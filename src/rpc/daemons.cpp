@@ -1,5 +1,8 @@
 #include "rpc/daemons.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "rpc/payloads.h"
 #include "rpc/wire.h"
 
@@ -22,7 +25,7 @@ SadcDaemon::SadcDaemon(hadoop::Node& node, TransportRegistry& transports)
 }
 
 metrics::SadcSnapshot SadcDaemon::fetch() {
-  CpuMeter::Scope scope(cpu_);
+  CpuMeter::BusyScope scope(cpu_);
   ++calls_;
   Encoder enc;
   encodeSnapshot(enc, node_.sadcCollect());
@@ -67,7 +70,7 @@ std::vector<hadooplog::StateSample> HadoopLogDaemon::roundTrip(
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchTt(
     SimTime watermark) {
-  CpuMeter::Scope scope(cpu_);
+  CpuMeter::BusyScope scope(cpu_);
   ++calls_;
   ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
   ttCursor_ = node_.ttLog().lineCount();
@@ -76,7 +79,7 @@ std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchTt(
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchDn(
     SimTime watermark) {
-  CpuMeter::Scope scope(cpu_);
+  CpuMeter::BusyScope scope(cpu_);
   ++calls_;
   dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
   dnCursor_ = node_.dnLog().lineCount();
@@ -97,7 +100,7 @@ StraceDaemon::StraceDaemon(hadoop::Node& node,
 }
 
 syscalls::TraceSecond StraceDaemon::fetch() {
-  CpuMeter::Scope scope(cpu_);
+  CpuMeter::BusyScope scope(cpu_);
   ++calls_;
   const syscalls::TraceSecond& trace = node_.lastSyscallTrace();
   // Wire format: one byte per event plus a length prefix.
@@ -113,64 +116,67 @@ std::size_t StraceDaemon::memoryFootprintBytes() const {
          4096 /* tracer ring scratch */;
 }
 
+RpcHub::NodeDaemons::NodeDaemons(hadoop::Node& node,
+                                 TransportRegistry& transports,
+                                 SimTime attachTime)
+    : sadc(node, transports),
+      hadoopLog(node, transports, attachTime),
+      strace(node, transports) {}
+
 RpcHub::RpcHub(hadoop::Cluster& cluster, SimTime attachTime) {
   for (hadoop::Node* node : cluster.slaveNodes()) {
-    sadcDaemons_.emplace(node->id(),
-                         std::make_unique<SadcDaemon>(*node, transports_));
-    logDaemons_.emplace(node->id(), std::make_unique<HadoopLogDaemon>(
-                                        *node, transports_, attachTime));
-    straceDaemons_.emplace(node->id(),
-                           std::make_unique<StraceDaemon>(*node,
-                                                          transports_));
+    const auto slot = static_cast<std::size_t>(node->id());
+    if (daemons_.size() <= slot) daemons_.resize(slot + 1);
+    daemons_[slot] =
+        std::make_unique<NodeDaemons>(*node, transports_, attachTime);
   }
 }
 
-SadcDaemon& RpcHub::sadc(NodeId node) { return *sadcDaemons_.at(node); }
+RpcHub::NodeDaemons& RpcHub::daemonsOf(NodeId node) {
+  const auto slot = static_cast<std::size_t>(node);
+  if (node < 0 || slot >= daemons_.size() || daemons_[slot] == nullptr) {
+    throw std::out_of_range("RpcHub: no daemons on node " +
+                            std::to_string(node));
+  }
+  return *daemons_[slot];
+}
+
+SadcDaemon& RpcHub::sadc(NodeId node) { return daemonsOf(node).sadc; }
 
 HadoopLogDaemon& RpcHub::hadoopLog(NodeId node) {
-  return *logDaemons_.at(node);
+  return daemonsOf(node).hadoopLog;
 }
 
-StraceDaemon& RpcHub::strace(NodeId node) {
-  return *straceDaemons_.at(node);
-}
+StraceDaemon& RpcHub::strace(NodeId node) { return daemonsOf(node).strace; }
 
 double RpcHub::sadcCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& [id, d] : sadcDaemons_) total += d->cpuSeconds();
-  return total;
+  return sum([](const NodeDaemons& d) { return d.sadc.cpuSeconds(); });
 }
 
 double RpcHub::hadoopLogCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& [id, d] : logDaemons_) total += d->cpuSeconds();
-  return total;
+  return sum([](const NodeDaemons& d) { return d.hadoopLog.cpuSeconds(); });
 }
 
 double RpcHub::straceCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& [id, d] : straceDaemons_) total += d->cpuSeconds();
-  return total;
+  return sum([](const NodeDaemons& d) { return d.strace.cpuSeconds(); });
 }
 
 std::size_t RpcHub::sadcMemoryBytes() const {
-  std::size_t total = 0;
-  for (const auto& [id, d] : sadcDaemons_) total += d->memoryFootprintBytes();
-  return total;
+  return sum([](const NodeDaemons& d) {
+    return d.sadc.memoryFootprintBytes();
+  });
 }
 
 std::size_t RpcHub::hadoopLogMemoryBytes() const {
-  std::size_t total = 0;
-  for (const auto& [id, d] : logDaemons_) total += d->memoryFootprintBytes();
-  return total;
+  return sum([](const NodeDaemons& d) {
+    return d.hadoopLog.memoryFootprintBytes();
+  });
 }
 
 std::size_t RpcHub::straceMemoryBytes() const {
-  std::size_t total = 0;
-  for (const auto& [id, d] : straceDaemons_) {
-    total += d->memoryFootprintBytes();
-  }
-  return total;
+  return sum([](const NodeDaemons& d) {
+    return d.strace.memoryFootprintBytes();
+  });
 }
 
 }  // namespace asdf::rpc

@@ -9,12 +9,16 @@
 // Every fetch round-trips its payload through the wire codec (bytes
 // recorded per channel for Table 4), charges the host node a sliver of
 // CPU and network (the monitoring perturbation the paper measures in
-// Table 3), and accumulates the real CPU time this process spent
-// executing daemon code, which the Table 3 bench reports.
+// Table 3), and accumulates the time this process spent executing
+// daemon code, which the Table 3 bench reports. A fetch lasts
+// microseconds on one thread, so it is metered as monotonic busy time
+// (CpuMeter::BusyScope): equal to its on-CPU time unless the thread is
+// preempted mid-fetch, and without the syscall pair a thread-CPU read
+// costs, which would exceed the fetch itself.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/cputime.h"
@@ -110,7 +114,7 @@ class RpcHub {
   StraceDaemon& strace(NodeId node);
   TransportRegistry& transports() { return transports_; }
 
-  /// Aggregate daemon CPU seconds (Table 3).
+  /// Aggregate daemon CPU seconds (Table 3), summed in node-id order.
   double sadcCpuSeconds() const;
   double hadoopLogCpuSeconds() const;
   double straceCpuSeconds() const;
@@ -119,10 +123,31 @@ class RpcHub {
   std::size_t straceMemoryBytes() const;
 
  private:
+  /// One node's three daemons, kept together.
+  struct NodeDaemons {
+    NodeDaemons(hadoop::Node& node, TransportRegistry& transports,
+                SimTime attachTime);
+    SadcDaemon sadc;
+    HadoopLogDaemon hadoopLog;
+    StraceDaemon strace;
+  };
+
+  /// Throws std::out_of_range for a node without daemons.
+  NodeDaemons& daemonsOf(NodeId node);
+
+  template <typename Fn>
+  auto sum(Fn field) const {
+    decltype(field(std::declval<const NodeDaemons&>())) total{};
+    for (const auto& d : daemons_) {
+      if (d != nullptr) total += field(*d);
+    }
+    return total;
+  }
+
   TransportRegistry transports_;
-  std::map<NodeId, std::unique_ptr<SadcDaemon>> sadcDaemons_;
-  std::map<NodeId, std::unique_ptr<HadoopLogDaemon>> logDaemons_;
-  std::map<NodeId, std::unique_ptr<StraceDaemon>> straceDaemons_;
+  /// Indexed by NodeId (slave ids are dense from 1); null slots hold no
+  /// daemons (the master, id 0).
+  std::vector<std::unique_ptr<NodeDaemons>> daemons_;
 };
 
 }  // namespace asdf::rpc

@@ -1,5 +1,7 @@
 #include "rpc/daemons.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "hadoop/cluster.h"
@@ -106,6 +108,25 @@ TEST_F(DaemonTest, DaemonsMeterTheirCpu) {
   EXPECT_GT(hub.hadoopLogCpuSeconds(), 0.0);
   EXPECT_GT(hub.sadcMemoryBytes(), 0u);
   EXPECT_GT(hub.hadoopLogMemoryBytes(), 0u);
+}
+
+TEST_F(DaemonTest, HubIndexesDaemonsBySlaveId) {
+  RpcHub hub(cluster_, 0.0);
+  engine_.runUntil(1.0);
+  for (NodeId id = 1; id <= 3; ++id) {
+    for (NodeId i = 0; i < id; ++i) hub.sadc(id).fetch();
+  }
+  for (NodeId id = 1; id <= 3; ++id) {
+    EXPECT_EQ(hub.sadc(id).calls(), id);
+    EXPECT_EQ(hub.hadoopLog(id).calls(), 0);
+    EXPECT_EQ(hub.strace(id).calls(), 0);
+  }
+  // The master (id 0) runs no daemons, and neither does an unknown id.
+  for (NodeId id : {0, 4, -1}) {
+    EXPECT_THROW(hub.sadc(id), std::out_of_range) << id;
+    EXPECT_THROW(hub.hadoopLog(id), std::out_of_range) << id;
+    EXPECT_THROW(hub.strace(id), std::out_of_range) << id;
+  }
 }
 
 TEST_F(DaemonTest, FetchChargesTheMonitoredNode) {

@@ -1,19 +1,22 @@
 // Executor back-ends (executor.h) and the scheduler behavior that
 // depends on them: batch completion, exception propagation, genuine
-// concurrency in the pool, and exclusivity domains serializing module
-// instances that share state.
+// concurrency in the pool, exclusivity domains serializing module
+// instances that share state, and per-batch CPU metering.
 #include "core/executor.h"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cputime.h"
 #include "core/fpt_core.h"
 #include "core/module.h"
 #include "core/registry.h"
@@ -23,6 +26,7 @@ namespace {
 
 TEST(SerialExecutor, RunsTasksInSubmissionOrder) {
   SerialExecutor exec;
+  CpuMeter meter;
   EXPECT_EQ(exec.name(), "serial");
   EXPECT_EQ(exec.concurrency(), 1);
   std::vector<int> order;
@@ -30,19 +34,21 @@ TEST(SerialExecutor, RunsTasksInSubmissionOrder) {
   for (int i = 0; i < 5; ++i) {
     batch.push_back([&order, i] { order.push_back(i); });
   }
-  exec.runBatch(batch);
+  exec.runBatch(batch, meter);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(SerialExecutor, PropagatesTaskException) {
   SerialExecutor exec;
+  CpuMeter meter;
   std::vector<Executor::Task> batch;
   batch.push_back([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(exec.runBatch(batch), std::runtime_error);
+  EXPECT_THROW(exec.runBatch(batch, meter), std::runtime_error);
 }
 
 TEST(ThreadPoolExecutor, RunsEveryTaskAcrossBatches) {
   ThreadPoolExecutor exec(4);
+  CpuMeter meter;
   EXPECT_EQ(exec.concurrency(), 4);
   EXPECT_EQ(exec.name(), "pool(4)");
   std::atomic<int> count{0};
@@ -51,7 +57,7 @@ TEST(ThreadPoolExecutor, RunsEveryTaskAcrossBatches) {
     for (int i = 0; i < 7; ++i) {
       batch.push_back([&count] { count.fetch_add(1); });
     }
-    exec.runBatch(batch);
+    exec.runBatch(batch, meter);
   }
   EXPECT_EQ(count.load(), 140);
 }
@@ -60,6 +66,7 @@ TEST(ThreadPoolExecutor, TasksOfOneBatchOverlap) {
   // Two tasks that each wait until the other has started can only
   // complete if the pool really runs them concurrently.
   ThreadPoolExecutor exec(2);
+  CpuMeter meter;
   std::mutex m;
   std::condition_variable cv;
   int arrived = 0;
@@ -70,18 +77,19 @@ TEST(ThreadPoolExecutor, TasksOfOneBatchOverlap) {
     cv.wait(lock, [&] { return arrived == 2; });
   };
   std::vector<Executor::Task> batch{rendezvous, rendezvous};
-  exec.runBatch(batch);
+  exec.runBatch(batch, meter);
   EXPECT_EQ(arrived, 2);
 }
 
 TEST(ThreadPoolExecutor, RethrowsLowestIndexedException) {
   ThreadPoolExecutor exec(4);
+  CpuMeter meter;
   std::vector<Executor::Task> batch;
   batch.push_back([] {});
   batch.push_back([] { throw std::runtime_error("first"); });
   batch.push_back([] { throw std::logic_error("second"); });
   try {
-    exec.runBatch(batch);
+    exec.runBatch(batch, meter);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first");
@@ -89,7 +97,7 @@ TEST(ThreadPoolExecutor, RethrowsLowestIndexedException) {
   // The pool must survive a throwing batch.
   std::atomic<int> ran{0};
   std::vector<Executor::Task> next{[&ran] { ran.fetch_add(1); }};
-  exec.runBatch(next);
+  exec.runBatch(next, meter);
   EXPECT_EQ(ran.load(), 1);
 }
 
@@ -200,6 +208,90 @@ id = d
   engine_.runUntil(10.0);
   EXPECT_GT(ExclusiveProbe::maxInside.load(), 1);
 }
+
+// --- CPU metering ----------------------------------------------------
+
+TEST(CpuMetering, EachExecutorClosesOneScopePerThreadPerBatch) {
+  SerialExecutor serial;
+  ThreadPoolExecutor pool(4);
+  for (Executor* exec : {static_cast<Executor*>(&serial),
+                         static_cast<Executor*>(&pool)}) {
+    CpuMeter meter;
+    std::atomic<int> ran{0};
+    constexpr int kBatches = 10;
+    for (int round = 0; round < kBatches; ++round) {
+      std::vector<Executor::Task> batch(
+          25, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      exec->runBatch(batch, meter);
+    }
+    EXPECT_EQ(ran.load(), 25 * kBatches) << exec->name();
+    EXPECT_GE(meter.scopes(), static_cast<std::uint64_t>(kBatches))
+        << exec->name();
+    EXPECT_LE(meter.scopes(),
+              static_cast<std::uint64_t>(kBatches * exec->concurrency()))
+        << exec->name();
+  }
+}
+
+/// Periodic module that burns a fixed amount of its thread's CPU time
+/// on every run.
+class CpuBurner final : public Module {
+ public:
+  static constexpr double kBurnSeconds = 2.5e-4;
+
+  void init(ModuleContext& ctx) override {
+    ctx.addOutput("output0", "burn");
+    ctx.requestPeriodic(1.0);
+  }
+  void run(ModuleContext&, RunReason) override {
+    const double until = threadCpuSeconds() + kBurnSeconds;
+    while (threadCpuSeconds() < until) {
+    }
+  }
+};
+
+class CpuMeteringTest : public ::testing::TestWithParam<int> {
+ protected:
+  CpuMeteringTest() {
+    registry_.registerType("burner",
+                           [] { return std::make_unique<CpuBurner>(); });
+  }
+
+  sim::SimEngine engine_;
+  ModuleRegistry registry_;
+};
+
+TEST_P(CpuMeteringTest, CpuSecondsCoverEveryRunAndReadTheClockPerBatch) {
+  FptCore core(engine_, Environment{}, &registry_);
+  core.setExecutor(makeExecutor(GetParam()));
+  std::string config;
+  for (int i = 0; i < 8; ++i) {
+    config += "[burner]\nid = b" + std::to_string(i) + "\n\n";
+  }
+  core.configureFromText(config);
+  engine_.runUntil(20.0);
+
+  const std::uint64_t runs = core.totalRuns();
+  ASSERT_GE(runs, 8u * 20u);
+  // Every run's burn is inside some batch's scope.
+  EXPECT_GE(core.cpuSeconds(),
+            static_cast<double>(runs) * CpuBurner::kBurnSeconds);
+  // All burners sit on level 0, so each wavefront dispatches one level:
+  // at most one scope per executing thread per level, far fewer than
+  // one per run.
+  const std::uint64_t scopes = core.cpuMeter().scopes();
+  const auto threads = static_cast<std::uint64_t>(core.executor().concurrency());
+  EXPECT_GE(scopes, core.wavefronts());
+  EXPECT_LE(scopes, core.wavefronts() * threads);
+  EXPECT_LT(scopes, runs);
+}
+
+INSTANTIATE_TEST_SUITE_P(SerialAndPool, CpuMeteringTest,
+                         ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 1 ? std::string("Serial")
+                                                  : std::string("Pool4");
+                         });
 
 }  // namespace
 }  // namespace asdf::core

@@ -816,6 +816,39 @@ TEST_F(ModulesTest, HadoopLogSyncUnregisteredDrainIsInert) {
   EXPECT_EQ(sync.registeredNodes(), 3u);
 }
 
+TEST_F(ModulesTest, HadoopLogSyncIgnoresUnregisteredPushes) {
+  HadoopLogSync sync;
+  sync.registerNode(1);
+  sync.registerNode(2);
+  sync.push(9, 0, {9.0});  // not a registered node: no slot to fill
+  sync.push(1, 0, {1.0});
+  EXPECT_TRUE(sync.drain(1).empty());  // node 2 still owes second 0
+  sync.push(2, 0, {2.0});
+  const auto rows = sync.drain(2);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(rows[0].second[0], 2.0);
+  EXPECT_EQ(sync.droppedSeconds(), 0);
+}
+
+TEST_F(ModulesTest, HadoopLogSyncReleasesOutOfOrderSecondsInCompletionOrder) {
+  HadoopLogSync sync;
+  sync.registerNode(1);
+  sync.registerNode(2);
+  sync.push(1, 5, {1.5});
+  sync.push(1, 3, {1.3});  // lands before second 5 in the pending rows
+  sync.push(1, 4, {1.4});
+  sync.push(2, 3, {2.3});  // completes 3; the newer 4 and 5 stay pending
+  sync.push(1, 3, {1.33});  // a repeat push after release opens a new row
+  sync.push(2, 5, {2.5});   // completes 5: drops the stale 3 and 4
+  EXPECT_EQ(sync.droppedSeconds(), 2);
+  const auto rows = sync.drain(1);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].first, 3);
+  EXPECT_DOUBLE_EQ(rows[0].second[0], 1.3);
+  EXPECT_EQ(rows[1].first, 5);
+  EXPECT_DOUBLE_EQ(rows[1].second[0], 1.5);
+}
+
 TEST_F(ModulesTest, SadcModuleRequiresNodeParam) {
   core::Environment env;
   core::FptCore core(engine_, env, &registry_);
