@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   const double minFramesPerSec =
       bench::flagDouble(argc, argv, "min-frames-per-sec", 0.0);
 
-  ShardGroup group(ShardGroupOptions{0, shards, /*preferReusePort=*/true});
+  ShardGroup group(ShardGroupOptions{0, shards});
   const rpc::Encoder response = makeResponse();
   for (int i = 0; i < group.shardCount(); ++i) {
     group.server(i).onFrame(

@@ -24,12 +24,12 @@
 //                       and connections (DESIGN.md §15)
 //
 // With --source=sim the daemon hosts the monitored-cluster simulation
-// itself, seeded exactly like harness::runExperiment, and advances it
-// lazily to the virtual timestamp each request carries: a live
-// fpt-core run against this daemon sees the same cluster a
-// sim-transport run simulates in-process. With --source=proc it serves
-// this host's real /proc counters (synthetic fallback) and replayed
-// hadoop-log rows.
+// itself, a net::SimSource built by the same code as a sim-transport
+// harness run's cluster, and advances it lazily to the virtual
+// timestamp each request carries: a live fpt-core run against this
+// daemon sees the same cluster a sim-transport run simulates
+// in-process. With --source=proc it serves this host's real /proc
+// counters (synthetic fallback) and replayed hadoop-log rows.
 #include <csignal>
 #include <cstdio>
 #include <memory>

@@ -29,8 +29,8 @@
 #include "faults/faults.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
+#include "net/sim_source.h"
 #include "rpc/rpc_client.h"
-#include "workload/gridmix.h"
 
 namespace {
 
@@ -61,10 +61,16 @@ int main(int argc, char** argv) {
   modules::registerBuiltinModules();
   setLogLevel(LogLevel::kInfo);
 
-  const int slaves = static_cast<int>(flagInt(argc, argv, "slaves", 8));
+  // The monitored deployment: slave count, seed and the optional fault.
+  // Every other field keeps the harness default.
+  harness::ExperimentSpec spec;
+  spec.slaves = static_cast<int>(flagInt(argc, argv, "slaves", 8));
+  spec.seed = static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 42));
+  spec.fault.type =
+      faults::faultFromName(flagValue(argc, argv, "fault", "none"));
+  spec.fault.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
+  spec.fault.startTime = flagDouble(argc, argv, "inject-at", 600.0);
   const double duration = flagDouble(argc, argv, "duration", 1800.0);
-  const auto seed =
-      static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 42));
 
   // --- black-box model: load or train -------------------------------
   analysis::BlackBoxModel model;
@@ -81,12 +87,9 @@ int main(int argc, char** argv) {
     std::printf("[asdfd] loaded model from %s (%zu states)\n",
                 modelIn.c_str(), model.states());
   } else {
-    harness::ExperimentSpec trainSpec;
-    trainSpec.slaves = slaves;
-    trainSpec.seed = seed;
     std::printf("[asdfd] training black-box model (%.0f s fault-free)...\n",
-                trainSpec.trainDuration);
-    model = harness::trainModel(trainSpec);
+                spec.trainDuration);
+    model = harness::trainModel(spec);
   }
   const std::string modelOut = flagValue(argc, argv, "model-out", "");
   if (!modelOut.empty()) {
@@ -96,18 +99,12 @@ int main(int argc, char** argv) {
   }
 
   // --- cluster + workload --------------------------------------------
-  sim::SimEngine engine;
-  hadoop::HadoopParams params;
-  params.slaveCount = slaves;
-  hadoop::Cluster cluster(params, seed * 6151 + 3, engine);
-  workload::GridMixGenerator gridmix(cluster, {}, seed * 7411 + 1);
-  cluster.start();
-  gridmix.start();
-  rpc::RpcHub hub(cluster, 0.0);
-  rpc::RpcClient client(cluster, hub, rpc::RpcPolicy{},
-                        seed * 2654435761ULL + 97);
+  net::SimSource source(spec.slaves, spec.topology, spec.seed,
+                        spec.mixChangeTime, spec.fault);
+  rpc::RpcClient client(source.cluster(), source.hub(), rpc::RpcPolicy{},
+                        spec.seed * 2654435761ULL + 97);
   modules::HadoopLogSync sync;
-  BlacklistMitigator mitigator(cluster);
+  BlacklistMitigator mitigator(source.cluster());
 
   core::Environment env;
   env.provide("rpc_client", &client);
@@ -130,7 +127,7 @@ int main(int argc, char** argv) {
   };
 
   // --- fpt-core configuration -----------------------------------------
-  core::FptCore fpt(engine, env);
+  core::FptCore fpt(source.engine(), env);
   const int threads = static_cast<int>(flagInt(argc, argv, "threads", 1));
   fpt.setExecutor(core::makeExecutor(threads));
   const std::string configFile = flagValue(argc, argv, "config", "");
@@ -138,7 +135,7 @@ int main(int argc, char** argv) {
     fpt.configureFromFile(configFile);
   } else {
     harness::PipelineParams pipeline;
-    pipeline.slaves = slaves;
+    pipeline.slaves = spec.slaves;
     std::string config = harness::buildCombinedConfig(pipeline);
     if (flagPresent(argc, argv, "mitigate")) {
       config +=
@@ -151,25 +148,21 @@ int main(int argc, char** argv) {
               fpt.instances().size(), fpt.executor().name().c_str());
 
   // --- optional fault --------------------------------------------------
-  faults::FaultSpec faultSpec;
-  faultSpec.type =
-      faults::faultFromName(flagValue(argc, argv, "fault", "none"));
-  faultSpec.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
-  faultSpec.startTime = flagDouble(argc, argv, "inject-at", 600.0);
-  faults::FaultInjector injector(cluster, faultSpec);
-  injector.arm();
-  if (faultSpec.type != faults::FaultType::kNone) {
+  // Armed after fpt-core configures, so at an equal timestamp the
+  // modules' fetches run before the fault's events.
+  source.armFault();
+  if (spec.fault.type != faults::FaultType::kNone) {
     std::printf("[asdfd] will inject %s on slave%d at t=%.0f\n",
-                faults::faultName(faultSpec.type), faultSpec.node,
-                faultSpec.startTime);
+                faults::faultName(spec.fault.type), spec.fault.node,
+                spec.fault.startTime);
   }
 
   // --- run --------------------------------------------------------------
   if (flagPresent(argc, argv, "realtime")) {
-    core::RealTimeDriver driver(engine);
+    core::RealTimeDriver driver(source.engine());
     driver.run(duration);
   } else {
-    engine.runUntil(duration);
+    source.engine().runUntil(duration);
   }
 
   // --- report -------------------------------------------------------------
@@ -178,9 +171,9 @@ int main(int argc, char** argv) {
               duration, alarmWindows, flaggedDecisions);
   std::printf("[asdfd] jobs %ld/%ld completed; fpt-core %.4f%% CPU; "
               "blacklisted nodes: %zu\n",
-              cluster.jobTracker().jobsCompleted(),
-              cluster.jobTracker().jobsSubmitted(),
+              source.cluster().jobTracker().jobsCompleted(),
+              source.cluster().jobTracker().jobsSubmitted(),
               100.0 * fpt.cpuSeconds() / duration,
-              cluster.jobTracker().blacklistedCount());
+              source.cluster().jobTracker().blacklistedCount());
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #if !defined(ASDF_SIMD_DISABLED) && defined(__x86_64__)
 #define ASDF_SIMD_X86 1
@@ -302,6 +303,15 @@ Isa initialIsa() {
 // hook called while they are quiescent.
 std::atomic<Isa> g_isa{initialIsa()};
 
+// A NaN's sign and payload bits depend on which instruction produced
+// it, and so on the ISA and on the optimizer (at -O0 SSE2 subtraction
+// of NaN operands yields the negative default NaN, 0xfff8...). The
+// scalar-result kernels therefore return one canonical quiet NaN, so
+// the bit-exactness contract covers NaN results at every -O level.
+inline double canonicalNan(double r) {
+  return std::isnan(r) ? std::numeric_limits<double>::quiet_NaN() : r;
+}
+
 }  // namespace
 
 Isa activeIsa() { return g_isa.load(std::memory_order_relaxed); }
@@ -330,28 +340,28 @@ double sqDistance(const double* a, const double* b, std::size_t n) {
 #ifdef ASDF_SIMD_X86
   switch (activeIsa()) {
     case Isa::kAvx2:
-      return sqDistanceAvx2(a, b, n);
+      return canonicalNan(sqDistanceAvx2(a, b, n));
     case Isa::kSse2:
-      return sqDistanceSse2(a, b, n);
+      return canonicalNan(sqDistanceSse2(a, b, n));
     case Isa::kScalar:
       break;
   }
 #endif
-  return sqDistanceScalar(a, b, n);
+  return canonicalNan(sqDistanceScalar(a, b, n));
 }
 
 double l1Distance(const double* a, const double* b, std::size_t n) {
 #ifdef ASDF_SIMD_X86
   switch (activeIsa()) {
     case Isa::kAvx2:
-      return l1DistanceAvx2(a, b, n);
+      return canonicalNan(l1DistanceAvx2(a, b, n));
     case Isa::kSse2:
-      return l1DistanceSse2(a, b, n);
+      return canonicalNan(l1DistanceSse2(a, b, n));
     case Isa::kScalar:
       break;
   }
 #endif
-  return l1DistanceScalar(a, b, n);
+  return canonicalNan(l1DistanceScalar(a, b, n));
 }
 
 double whiteBoxCriticalK(const double* mean, const double* median,
@@ -360,14 +370,17 @@ double whiteBoxCriticalK(const double* mean, const double* median,
 #ifdef ASDF_SIMD_X86
   switch (activeIsa()) {
     case Isa::kAvx2:
-      return whiteBoxCriticalKAvx2(mean, median, sigma, n, sentinel);
+      return canonicalNan(
+          whiteBoxCriticalKAvx2(mean, median, sigma, n, sentinel));
     case Isa::kSse2:
-      return whiteBoxCriticalKSse2(mean, median, sigma, n, sentinel);
+      return canonicalNan(
+          whiteBoxCriticalKSse2(mean, median, sigma, n, sentinel));
     case Isa::kScalar:
       break;
   }
 #endif
-  return whiteBoxCriticalKScalar(mean, median, sigma, n, sentinel);
+  return canonicalNan(
+      whiteBoxCriticalKScalar(mean, median, sigma, n, sentinel));
 }
 
 void absDeviations(const double* x, double center, double* out,

@@ -14,7 +14,10 @@
 // IEEE-754 results on every ISA (simd.cpp is compiled with
 // -ffp-contract=off so no path fuses a*b+c into an FMA). That is
 // what keeps alarms byte-identical between ASDF_SIMD=ON and OFF
-// builds and across machines (DESIGN.md §15).
+// builds and across machines (DESIGN.md §15). A NaN's sign and
+// payload are not fixed by that order (they depend on the instruction
+// and the -O level), so the scalar-result kernels return one
+// canonical quiet NaN whenever their result is NaN.
 //
 // Dispatch: the widest ISA the CPU supports is chosen once at first
 // use. The ASDF_SIMD environment variable overrides it

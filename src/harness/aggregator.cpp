@@ -13,6 +13,7 @@
 #include "common/strings.h"
 #include "core/fpt_core.h"
 #include "core/realtime.h"
+#include "harness/experiment_internal.h"
 #include "modules/modules.h"
 #include "modules/peer_judge.h"
 #include "net/agg_client.h"
@@ -23,29 +24,6 @@
 
 namespace asdf::harness {
 namespace {
-
-std::unique_ptr<archive::ArchiveWriter> makeAggRecorder(
-    const AggregatorOptions& opts) {
-  if (opts.base.archiveDir.empty()) return nullptr;
-  archive::ArchiveWriterOptions wopts;
-  wopts.dir = opts.base.archiveDir;
-  wopts.maxSegmentBytes = opts.base.archiveSegmentBytes;
-  archive::ArchiveMeta meta;
-  meta.seed = opts.base.seed;
-  meta.slaves = opts.base.slaves;
-  meta.source = "agg";
-  meta.duration = opts.base.duration;
-  meta.trainDuration = opts.base.trainDuration;
-  meta.trainWarmup = opts.base.trainWarmup;
-  meta.centroids = opts.base.centroids;
-  meta.faultType = static_cast<std::uint32_t>(opts.base.fault.type);
-  meta.faultNode = opts.base.fault.node;
-  meta.faultStart = opts.base.fault.startTime;
-  meta.faultEnd = opts.base.fault.endTime;
-  meta.mixChangeTime = opts.base.mixChangeTime;
-  return std::make_unique<archive::ArchiveWriter>(std::move(wopts),
-                                                  std::move(meta));
-}
 
 net::AggServerOptions serverOptionsFor(const AggregatorOptions& opts,
                                        const rpc::SummaryBoard& board) {
@@ -69,7 +47,7 @@ struct AggregatorNode::Impl {
                   o.base.rpcPolicy.timeoutSeconds,
                   o.base.seed * 2654435761ULL + 131),
         client(collector, o.base.rpcPolicy, o.base.seed * 2654435761ULL + 97),
-        recorder(makeAggRecorder(o)),
+        recorder(makeRecorder(o.base, "agg")),
         driver(engine, o.base.realtimeScale),
         server(serverOptionsFor(o, board)),
         fpt(engine, makeEnv(model, board)) {
@@ -171,15 +149,6 @@ struct RootGroup {
     return state == State::kUp || (state == State::kRejoining && fresh[c]);
   }
 };
-
-void sortEvents(std::vector<core::MonitoringEvent>& events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const core::MonitoringEvent& a,
-                      const core::MonitoringEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.channel < b.channel;
-                   });
-}
 
 }  // namespace
 
@@ -439,34 +408,16 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   // shutdown-timing artifact, not a monitorable signal, and stays
   // unmerged. (Down regions were synthesized round by round above.)
 
-  sortEvents(result.monitoringEvents);
+  sortMonitoringEvents(result);
 
   // Ground truth comes from the spec, like the flat live path: the
   // caller started the leaf daemons with the same fault parameters.
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  result.truth.faultEnd = spec.fault.endTime;
+  result.truth = truthFromSpec(spec);
   result.simulatedSeconds = spec.duration;
 
   // Table 4, tier 2. (Tier-1 collection traffic and Table 3 daemon
   // costs accrue inside the aggregator processes, not here.)
-  for (const rpc::RpcChannelStats* ch : transports.channels()) {
-    if (ch->calls() == 0 && ch->failedCalls() == 0) continue;
-    RpcChannelReport report;
-    report.name = ch->name();
-    report.tier = ch->tier();
-    report.connects = ch->connects();
-    report.calls = ch->calls();
-    report.failedCalls = ch->failedCalls();
-    report.staticOverheadKb =
-        ch->connects() == 0
-            ? 0.0
-            : ch->staticOverheadBytes() / ch->connects() / 1024.0;
-    report.perIterationKbPerSec =
-        ch->totalCallBytes() / spec.slaves / spec.duration / 1024.0;
-    result.rpcChannels.push_back(report);
-  }
+  recordChannelReports(result, transports, spec);
   return result;
 }
 

@@ -9,8 +9,9 @@
 #include <mutex>
 
 #include "archive/collector.h"
-#include "harness/aggregator.h"
 #include "archive/writer.h"
+#include "harness/aggregator.h"
+#include "harness/experiment_internal.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "core/fpt_core.h"
@@ -20,25 +21,13 @@
 #include "modules/modules.h"
 #include "net/cluster_stats.h"
 #include "net/live_transport.h"
+#include "net/sim_source.h"
 #include "rpc/daemons.h"
 #include "sim/engine.h"
 #include "workload/gridmix.h"
 
 namespace asdf::harness {
 namespace {
-
-hadoop::HadoopParams hadoopParamsFor(const ExperimentSpec& spec) {
-  hadoop::HadoopParams p;
-  p.slaveCount = spec.slaves;
-  p.topology = spec.topology;
-  return p;
-}
-
-workload::GridMixParams gridmixParamsFor(const ExperimentSpec& spec) {
-  workload::GridMixParams g;
-  g.mixChangeTime = spec.mixChangeTime;
-  return g;
-}
 
 /// Routes alarms and monitoring events into `result` (shared between
 /// the sim and live transports so both record identically).
@@ -65,16 +54,6 @@ void wireSinks(core::Environment& env, ExperimentResult& result,
   };
 }
 
-void sortMonitoringEvents(ExperimentResult& result) {
-  std::stable_sort(result.monitoringEvents.begin(),
-                   result.monitoringEvents.end(),
-                   [](const core::MonitoringEvent& a,
-                      const core::MonitoringEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.channel < b.channel;
-                   });
-}
-
 void recordClientCounters(ExperimentResult& result, rpc::RpcClient& client) {
   result.rpcRounds = client.totalRounds();
   result.rpcRetries = client.totalRetries();
@@ -86,27 +65,6 @@ void recordClientCounters(ExperimentResult& result, rpc::RpcClient& client) {
     for (const rpc::AttemptRecord& rec : client.attemptLog(node)) {
       times.push_back(rec.at);
     }
-  }
-}
-
-void recordChannelReports(ExperimentResult& result,
-                          rpc::TransportRegistry& transports,
-                          const ExperimentSpec& spec) {
-  for (const rpc::RpcChannelStats* ch : transports.channels()) {
-    if (ch->calls() == 0 && ch->failedCalls() == 0) continue;
-    RpcChannelReport report;
-    report.name = ch->name();
-    report.tier = ch->tier();
-    report.connects = ch->connects();
-    report.calls = ch->calls();
-    report.failedCalls = ch->failedCalls();
-    report.staticOverheadKb =
-        ch->connects() == 0
-            ? 0.0
-            : ch->staticOverheadBytes() / ch->connects() / 1024.0;
-    report.perIterationKbPerSec =
-        ch->totalCallBytes() / spec.slaves / spec.duration / 1024.0;
-    result.rpcChannels.push_back(report);
   }
 }
 
@@ -143,6 +101,41 @@ archive::TruthRecord truthFromResult(const ExperimentResult& result) {
   return truth;
 }
 
+/// Fills the cluster-side fields of `result` from one stats snapshot:
+/// the fault's observed end, the Table 3 daemon costs and the
+/// cluster-health counters. A sim run reads the snapshot from its
+/// in-process SimSource, a live run from asdf_rpcd's kStats reply.
+void recordClusterStats(ExperimentResult& result,
+                        const net::ClusterStatsWire& stats,
+                        const ExperimentSpec& spec) {
+  // A fault can end before the run does (a scheduled endTime, or the
+  // DiskHog completing its 20 GB write); windows after that are
+  // negatives.
+  if (stats.faultEndedAt != kNoTime) {
+    result.truth.faultEnd = stats.faultEndedAt;
+  }
+  // Daemon CPU percentages are of one core per node (divide by slave
+  // count), relative to the simulated clock.
+  const double nodeSeconds = spec.duration * spec.slaves;
+  result.sadcRpcdCpuPct = 100.0 * stats.sadcCpuSeconds / nodeSeconds;
+  result.hadoopLogRpcdCpuPct =
+      100.0 * stats.hadoopLogCpuSeconds / nodeSeconds;
+  result.straceRpcdCpuPct = 100.0 * stats.straceCpuSeconds / nodeSeconds;
+  result.sadcRpcdMemMb =
+      static_cast<double>(stats.sadcMemoryBytes) / spec.slaves / 1.0e6;
+  result.hadoopLogRpcdMemMb =
+      static_cast<double>(stats.hadoopLogMemoryBytes) / spec.slaves / 1.0e6;
+  result.straceRpcdMemMb =
+      static_cast<double>(stats.straceMemoryBytes) / spec.slaves / 1.0e6;
+  result.jobsSubmitted = stats.jobsSubmitted;
+  result.jobsCompleted = stats.jobsCompleted;
+  result.tasksCompleted = stats.tasksCompleted;
+  result.tasksFailed = stats.tasksFailed;
+  result.speculativeLaunches = stats.speculativeLaunches;
+}
+
+}  // namespace
+
 std::unique_ptr<archive::ArchiveWriter> makeRecorder(
     const ExperimentSpec& spec, const std::string& source) {
   if (spec.archiveDir.empty()) return nullptr;
@@ -152,6 +145,48 @@ std::unique_ptr<archive::ArchiveWriter> makeRecorder(
   return std::make_unique<archive::ArchiveWriter>(std::move(opts),
                                                   metaFromSpec(spec, source));
 }
+
+analysis::GroundTruth truthFromSpec(const ExperimentSpec& spec) {
+  analysis::GroundTruth truth;
+  truth.slaveIndex =
+      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
+  truth.faultStart = spec.fault.startTime;
+  truth.faultEnd = spec.fault.endTime;
+  return truth;
+}
+
+void sortMonitoringEvents(ExperimentResult& result) {
+  std::stable_sort(result.monitoringEvents.begin(),
+                   result.monitoringEvents.end(),
+                   [](const core::MonitoringEvent& a,
+                      const core::MonitoringEvent& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.channel < b.channel;
+                   });
+}
+
+void recordChannelReports(ExperimentResult& result,
+                          rpc::TransportRegistry& transports,
+                          const ExperimentSpec& spec) {
+  for (const rpc::RpcChannelStats* ch : transports.channels()) {
+    if (ch->calls() == 0 && ch->failedCalls() == 0) continue;
+    RpcChannelReport report;
+    report.name = ch->name();
+    report.tier = ch->tier();
+    report.connects = ch->connects();
+    report.calls = ch->calls();
+    report.failedCalls = ch->failedCalls();
+    report.staticOverheadKb =
+        ch->connects() == 0
+            ? 0.0
+            : ch->staticOverheadBytes() / ch->connects() / 1024.0;
+    report.perIterationKbPerSec =
+        ch->totalCallBytes() / spec.slaves / spec.duration / 1024.0;
+    result.rpcChannels.push_back(report);
+  }
+}
+
+namespace {
 
 /// The steps every transport shares. Sim, live and replay runs differ
 /// only in the collector behind `client`, in how `advance` moves time,
@@ -210,35 +245,27 @@ ExperimentResult runMonitored(
 /// fetched through the client on the engine clock.
 ExperimentResult runSimExperiment(const ExperimentSpec& spec,
                                   const analysis::BlackBoxModel& model) {
-  sim::SimEngine engine;
-  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 6151 + 3,
-                          engine);
-  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
-                                     spec.seed * 7411 + 1);
-  cluster.start();
-  gridmix.start();
-
-  rpc::RpcHub hub(cluster, /*attachTime=*/0.0);
+  net::SimSource source(spec.slaves, spec.topology, spec.seed,
+                        spec.mixChangeTime, spec.fault);
   // NIC packet loss fails monitoring RPCs only in fault-tolerant runs;
   // otherwise an infinite exponent makes every attempt immune to it.
   rpc::RpcPolicy policy = spec.rpcPolicy;
   if (!spec.faultTolerantRpc && spec.monitoringFaults.empty()) {
     policy.lossFailureExponent = std::numeric_limits<double>::infinity();
   }
-  rpc::RpcClient client(cluster, hub, policy,
+  rpc::RpcClient client(source.cluster(), source.hub(), policy,
                         spec.seed * 2654435761ULL + 97);
   std::unique_ptr<archive::ArchiveWriter> recorder =
       makeRecorder(spec, "sim");
 
-  return runMonitored(spec, model, engine, client, recorder.get(),
+  return runMonitored(spec, model, source.engine(), client, recorder.get(),
                       [&](ExperimentResult& result) {
-    faults::FaultInjector injector(cluster, spec.fault);
-    injector.arm();
+    source.armFault();
 
     std::unique_ptr<faults::ScenarioInjector> scenario;
     if (spec.scenario.cls != faults::ScenarioClass::kNone) {
-      scenario =
-          std::make_unique<faults::ScenarioInjector>(cluster, spec.scenario);
+      scenario = std::make_unique<faults::ScenarioInjector>(source.cluster(),
+                                                            spec.scenario);
       scenario->arm();
     }
 
@@ -247,23 +274,14 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
     for (const faults::MonitoringFaultSpec& mf : spec.monitoringFaults) {
       monInjectors.push_back(
           std::make_unique<faults::MonitoringFaultInjector>(
-              engine, client.faults(), mf));
+              source.engine(), client.faults(), mf));
       monInjectors.back()->arm();
     }
 
-    engine.runUntil(spec.duration);
+    source.engine().runUntil(spec.duration);
 
-    // Ground truth.
-    result.truth.slaveIndex = spec.fault.type == faults::FaultType::kNone
-                                  ? -1
-                                  : spec.fault.node - 1;
-    result.truth.faultStart = spec.fault.startTime;
-    // A fault can end before the run does (a scheduled endTime, or the
-    // DiskHog completing its 20 GB write); windows after that are
-    // negatives.
-    result.truth.faultEnd = injector.endedAt() != kNoTime
-                                ? injector.endedAt()
-                                : spec.fault.endTime;
+    result.truth = truthFromSpec(spec);
+    recordClusterStats(result, source.stats(), spec);
     if (scenario != nullptr) {
       result.truth.culprits = scenario->culpritIndices();
       result.truth.slaveIndex =
@@ -274,30 +292,6 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
                                   : scenario->spec().endTime;
       result.scenarioEvents = scenario->events();
     }
-
-    // Table 3 accounting. Daemon CPU percentages are of one core per
-    // node (divide by slave count), relative to the simulated clock.
-    const double nodeSeconds = spec.duration * spec.slaves;
-    result.sadcRpcdCpuPct = 100.0 * hub.sadcCpuSeconds() / nodeSeconds;
-    result.hadoopLogRpcdCpuPct =
-        100.0 * hub.hadoopLogCpuSeconds() / nodeSeconds;
-    result.straceRpcdCpuPct = 100.0 * hub.straceCpuSeconds() / nodeSeconds;
-    result.sadcRpcdMemMb =
-        static_cast<double>(hub.sadcMemoryBytes()) / spec.slaves / 1.0e6;
-    result.hadoopLogRpcdMemMb =
-        static_cast<double>(hub.hadoopLogMemoryBytes()) / spec.slaves /
-        1.0e6;
-    result.straceRpcdMemMb =
-        static_cast<double>(hub.straceMemoryBytes()) / spec.slaves / 1.0e6;
-
-    // Cluster health.
-    result.jobsSubmitted = cluster.jobTracker().jobsSubmitted();
-    result.jobsCompleted = cluster.jobTracker().jobsCompleted();
-    for (int i = 1; i <= spec.slaves; ++i) {
-      result.tasksCompleted += cluster.taskTracker(i).completedTasks();
-      result.tasksFailed += cluster.taskTracker(i).failedTasks();
-    }
-    result.speculativeLaunches = cluster.jobTracker().speculativeLaunches();
   });
 }
 
@@ -333,37 +327,14 @@ ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
 
     // Ground truth comes from the spec (the caller started asdf_rpcd
     // with the same fault); the daemon reports the observed end time.
-    result.truth.slaveIndex = spec.fault.type == faults::FaultType::kNone
-                                  ? -1
-                                  : spec.fault.node - 1;
-    result.truth.faultStart = spec.fault.startTime;
-    result.truth.faultEnd = spec.fault.endTime;
-
+    result.truth = truthFromSpec(spec);
     net::ClusterStatsWire stats;
     if (!transport.fetchStats(spec.duration, stats)) {
       logWarn("live transport: final kStats fetch failed; cluster-side "
               "accounting unavailable");
       return;
     }
-    if (stats.faultEndedAt != kNoTime) {
-      result.truth.faultEnd = stats.faultEndedAt;
-    }
-    const double nodeSeconds = spec.duration * spec.slaves;
-    result.sadcRpcdCpuPct = 100.0 * stats.sadcCpuSeconds / nodeSeconds;
-    result.hadoopLogRpcdCpuPct =
-        100.0 * stats.hadoopLogCpuSeconds / nodeSeconds;
-    result.straceRpcdCpuPct = 100.0 * stats.straceCpuSeconds / nodeSeconds;
-    result.sadcRpcdMemMb =
-        static_cast<double>(stats.sadcMemoryBytes) / spec.slaves / 1.0e6;
-    result.hadoopLogRpcdMemMb =
-        static_cast<double>(stats.hadoopLogMemoryBytes) / spec.slaves / 1.0e6;
-    result.straceRpcdMemMb =
-        static_cast<double>(stats.straceMemoryBytes) / spec.slaves / 1.0e6;
-    result.jobsSubmitted = stats.jobsSubmitted;
-    result.jobsCompleted = stats.jobsCompleted;
-    result.tasksCompleted = stats.tasksCompleted;
-    result.tasksFailed = stats.tasksFailed;
-    result.speculativeLaunches = stats.speculativeLaunches;
+    recordClusterStats(result, stats, spec);
   });
 }
 
@@ -491,10 +462,12 @@ void validateSpec(const ExperimentSpec& spec) {
 analysis::BlackBoxModel trainModel(const ExperimentSpec& spec) {
   validateSpec(spec);
   sim::SimEngine engine;
-  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 7919 + 17,
-                          engine);
-  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
-                                     spec.seed * 104729 + 5);
+  hadoop::Cluster cluster(
+      net::SimSource::hadoopParams(spec.slaves, spec.topology),
+      spec.seed * 7919 + 17, engine);
+  workload::GridMixGenerator gridmix(
+      cluster, net::SimSource::gridmixParams(spec.mixChangeTime),
+      spec.seed * 104729 + 5);
   cluster.start();
   gridmix.start();
 

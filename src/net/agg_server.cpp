@@ -5,9 +5,7 @@
 namespace asdf::net {
 
 AggServer::AggServer(const AggServerOptions& opts)
-    : opts_(opts),
-      group_(ShardGroupOptions{opts.port, opts.shards,
-                               /*preferReusePort=*/true}) {
+    : opts_(opts), group_(ShardGroupOptions{opts.port, opts.shards}) {
   for (int i = 0; i < group_.shardCount(); ++i) {
     group_.server(i).onFrame(
         [this](TcpServer::Connection& conn, const Frame& frame) {

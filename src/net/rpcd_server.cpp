@@ -1,47 +1,17 @@
 #include "net/rpcd_server.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
-#include "net/cluster_stats.h"
 #include "rpc/payloads.h"
 
 namespace asdf::net {
-namespace {
-
-hadoop::HadoopParams hadoopParamsFor(const RpcdOptions& opts) {
-  hadoop::HadoopParams p;
-  p.slaveCount = opts.slaves;
-  return p;
-}
-
-workload::GridMixParams gridmixParamsFor(const RpcdOptions& opts) {
-  workload::GridMixParams g;
-  g.mixChangeTime = opts.mixChangeTime;
-  return g;
-}
-
-}  // namespace
 
 RpcdServer::RpcdServer(const RpcdOptions& opts)
-    : opts_(opts),
-      group_(ShardGroupOptions{opts.port, opts.shards,
-                               opts.preferReusePort}) {
+    : opts_(opts), group_(ShardGroupOptions{opts.port, opts.shards}) {
   if (opts_.source == "sim") {
-    // Seed derivations must match harness::runExperiment exactly: that
-    // is what lets a live client observe the same cluster a
-    // sim-transport run simulates in-process.
-    engine_ = std::make_unique<sim::SimEngine>();
-    cluster_ = std::make_unique<hadoop::Cluster>(
-        hadoopParamsFor(opts_), opts_.seed * 6151 + 3, *engine_);
-    gridmix_ = std::make_unique<workload::GridMixGenerator>(
-        *cluster_, gridmixParamsFor(opts_), opts_.seed * 7411 + 1);
-    cluster_->start();
-    gridmix_->start();
-    hub_ = std::make_unique<rpc::RpcHub>(*cluster_, /*attachTime=*/0.0);
-    injector_ = std::make_unique<faults::FaultInjector>(*cluster_,
-                                                        opts_.fault);
-    injector_->arm();
+    sim_ = std::make_unique<SimSource>(opts_.slaves, topology::TopologySpec{},
+                                       opts_.seed, opts_.mixChangeTime,
+                                       opts_.fault);
+    sim_->armFault();
   } else {
     proc_ = std::make_unique<ProcSource>(opts_.slaves, opts_.seed);
   }
@@ -62,16 +32,6 @@ void RpcdServer::run() { group_.runOnCaller(); }
 
 void RpcdServer::stop() { group_.stop(); }
 
-void RpcdServer::advanceTo(double now) {
-  // Lazy advance: every event at or before `now` runs before the fetch
-  // is answered — the same order an in-process run executes them in,
-  // where cluster/gridmix/injector events sort before the module fetch
-  // at an equal timestamp.
-  if (engine_ != nullptr && now > engine_->now()) {
-    engine_->runUntil(now);
-  }
-}
-
 void RpcdServer::observeSample(rpc::CollectKind kind, NodeId node,
                                double now, double watermark,
                                const rpc::Encoder& enc) {
@@ -90,31 +50,13 @@ void RpcdServer::observeSample(rpc::CollectKind kind, NodeId node,
 
 ClusterStatsWire RpcdServer::snapshotStats(double now) {
   std::lock_guard<std::mutex> lock(stateMutex_);
-  advanceTo(now);
-  ClusterStatsWire stats;
-  if (engine_ != nullptr) {
-    stats.simNow = engine_->now();
-    stats.faultEndedAt = injector_->endedAt();
-    stats.sadcCpuSeconds = hub_->sadcCpuSeconds();
-    stats.hadoopLogCpuSeconds = hub_->hadoopLogCpuSeconds();
-    stats.straceCpuSeconds = hub_->straceCpuSeconds();
-    stats.sadcMemoryBytes =
-        static_cast<std::int64_t>(hub_->sadcMemoryBytes());
-    stats.hadoopLogMemoryBytes =
-        static_cast<std::int64_t>(hub_->hadoopLogMemoryBytes());
-    stats.straceMemoryBytes =
-        static_cast<std::int64_t>(hub_->straceMemoryBytes());
-    stats.jobsSubmitted = cluster_->jobTracker().jobsSubmitted();
-    stats.jobsCompleted = cluster_->jobTracker().jobsCompleted();
-    stats.speculativeLaunches = cluster_->jobTracker().speculativeLaunches();
-    for (int i = 1; i <= opts_.slaves; ++i) {
-      stats.tasksCompleted += cluster_->taskTracker(i).completedTasks();
-      stats.tasksFailed += cluster_->taskTracker(i).failedTasks();
-    }
-  } else {
-    stats.simNow = now;
-    stats.faultEndedAt = kNoTime;
+  if (sim_ != nullptr) {
+    sim_->advanceTo(now);
+    return sim_->stats();
   }
+  ClusterStatsWire stats;
+  stats.simNow = now;
+  stats.faultEndedAt = kNoTime;
   return stats;
 }
 
@@ -161,9 +103,9 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
       rpc::Encoder enc;
       {
         std::lock_guard<std::mutex> lock(stateMutex_);
-        if (engine_ != nullptr) {
-          advanceTo(now);
-          snap = hub_->sadc(node).fetch();
+        if (sim_ != nullptr) {
+          sim_->advanceTo(now);
+          snap = sim_->hub().sadc(node).fetch();
         } else {
           snap = proc_->collect(node, now);
         }
@@ -188,10 +130,10 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
       rpc::Encoder enc;
       {
         std::lock_guard<std::mutex> lock(stateMutex_);
-        if (engine_ != nullptr) {
-          advanceTo(now);
-          rows = tt ? hub_->hadoopLog(node).fetchTt(watermark)
-                    : hub_->hadoopLog(node).fetchDn(watermark);
+        if (sim_ != nullptr) {
+          sim_->advanceTo(now);
+          rpc::HadoopLogDaemon& daemon = sim_->hub().hadoopLog(node);
+          rows = tt ? daemon.fetchTt(watermark) : daemon.fetchDn(watermark);
         } else {
           rows = tt ? proc_->fetchTt(node, watermark)
                     : proc_->fetchDn(node, watermark);
@@ -206,7 +148,7 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
     case MsgType::kFetchStrace: {
       const NodeId node = static_cast<NodeId>(dec.getU32());
       const double now = dec.getDouble();
-      if (engine_ == nullptr) {
+      if (sim_ == nullptr) {
         conn.sendError(ErrorCode::kUnsupported,
                        "strace channel requires the sim source");
         return;
@@ -219,8 +161,8 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
       rpc::Encoder enc;
       {
         std::lock_guard<std::mutex> lock(stateMutex_);
-        advanceTo(now);
-        const syscalls::TraceSecond trace = hub_->strace(node).fetch();
+        sim_->advanceTo(now);
+        const syscalls::TraceSecond trace = sim_->hub().strace(node).fetch();
         rpc::encodeTrace(enc, trace);
         observeSample(rpc::CollectKind::kStrace, node, now, kNoTime, enc);
       }

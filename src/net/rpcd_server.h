@@ -3,13 +3,13 @@
 // One process answers every collection channel for every monitored
 // node over the framed TCP protocol. Two data sources:
 //
-//   sim  — the daemon hosts the monitored-cluster simulation itself
-//          (Cluster + GridMix + RpcHub + FaultInjector, seeded exactly
-//          as harness::runExperiment seeds them) and advances it lazily
-//          to the virtual `now` carried in each request. A live client
-//          driving the same module schedule therefore reads byte-for-
-//          byte the same data a sim-transport run reads, which is what
-//          makes the sim/live alarm-equality contract testable.
+//   sim  — the daemon hosts the monitored-cluster simulation itself,
+//          a SimSource (net/sim_source.h) — the same code that builds
+//          a sim-transport harness run's cluster — and advances it
+//          lazily to the virtual `now` carried in each request. A live
+//          client driving the same module schedule therefore reads
+//          byte-for-byte the same data a sim-transport run reads, which
+//          is what makes the sim/live alarm-equality contract testable.
 //   proc — serves this host's real /proc counters (synthetic random
 //          walk when /proc is unavailable) plus replayed hadoop-log
 //          rows; the honest "online on a real machine" mode.
@@ -31,14 +31,11 @@
 #include <string>
 
 #include "faults/faults.h"
-#include "hadoop/cluster.h"
 #include "net/cluster_stats.h"
 #include "net/proc_source.h"
 #include "net/shard_group.h"
+#include "net/sim_source.h"
 #include "rpc/collection_tap.h"
-#include "rpc/daemons.h"
-#include "sim/engine.h"
-#include "workload/gridmix.h"
 
 namespace asdf::net {
 
@@ -58,8 +55,6 @@ struct RpcdOptions {
   /// Network-plane shards (--shards; see ShardGroup). 1 = the classic
   /// single-loop daemon.
   int shards = 1;
-  /// Test hook: force the acceptor-handoff fallback path.
-  bool preferReusePort = true;
 };
 
 class RpcdServer {
@@ -89,7 +84,6 @@ class RpcdServer {
 
  private:
   void handleFrame(TcpServer::Connection& conn, const Frame& frame);
-  void advanceTo(double now);
   void handleStats(TcpServer::Connection& conn, double now);
   void observeSample(rpc::CollectKind kind, NodeId node, double now,
                      double watermark, const rpc::Encoder& enc);
@@ -101,14 +95,8 @@ class RpcdServer {
   /// shards=1.
   std::mutex stateMutex_;
 
-  // sim source (null in proc mode).
-  std::unique_ptr<sim::SimEngine> engine_;
-  std::unique_ptr<hadoop::Cluster> cluster_;
-  std::unique_ptr<workload::GridMixGenerator> gridmix_;
-  std::unique_ptr<rpc::RpcHub> hub_;
-  std::unique_ptr<faults::FaultInjector> injector_;
-
-  // proc source (null in sim mode).
+  // Exactly one source is set, per opts_.source.
+  std::unique_ptr<SimSource> sim_;
   std::unique_ptr<ProcSource> proc_;
 };
 

@@ -1,54 +1,23 @@
 #include "net/shard_group.h"
 
 #include <algorithm>
-#include <string>
-
-#include "common/logging.h"
 
 namespace asdf::net {
 
 ShardGroup::ShardGroup(const ShardGroupOptions& options) {
   const int n = std::max(1, options.shards);
+  const bool reusePort = n > 1;
   loops_.reserve(static_cast<std::size_t>(n));
+  servers_.reserve(static_cast<std::size_t>(n));
+  // Shard 0 binds first and resolves an ephemeral port; its siblings
+  // bind the resolved port.
   for (int i = 0; i < n; ++i) {
     loops_.push_back(std::make_unique<EventLoop>());
-  }
-  servers_.reserve(static_cast<std::size_t>(n));
-
-  if (options.preferReusePort && n > 1) {
-    try {
-      servers_.push_back(std::make_unique<TcpServer>(
-          *loops_[0], TcpServerOptions{options.port, /*reusePort=*/true,
-                                       /*listen=*/true}));
-      const std::uint16_t bound = servers_[0]->port();
-      for (int i = 1; i < n; ++i) {
-        servers_.push_back(std::make_unique<TcpServer>(
-            *loops_[static_cast<std::size_t>(i)],
-            TcpServerOptions{bound, /*reusePort=*/true, /*listen=*/true}));
-      }
-      reusePort_ = true;
-    } catch (const NetError& e) {
-      logWarn(std::string("net: SO_REUSEPORT sharding unavailable (") +
-              e.what() + "); falling back to acceptor handoff");
-      servers_.clear();
-      reusePort_ = false;
-    }
-  }
-
-  if (servers_.empty()) {
-    // Single shard, or handoff fallback: shard 0 owns the listener.
     servers_.push_back(std::make_unique<TcpServer>(
-        *loops_[0], TcpServerOptions{options.port, /*reusePort=*/false,
-                                     /*listen=*/true}));
-    for (int i = 1; i < n; ++i) {
-      servers_.push_back(std::make_unique<TcpServer>(
-          *loops_[static_cast<std::size_t>(i)],
-          TcpServerOptions{servers_[0]->port(), /*reusePort=*/false,
-                           /*listen=*/false}));
-    }
-    if (n > 1) installHandoff();
+        *loops_.back(),
+        TcpServerOptions{i == 0 ? options.port : port_, reusePort}));
+    if (i == 0) port_ = servers_[0]->port();
   }
-  port_ = servers_[0]->port();
 }
 
 ShardGroup::~ShardGroup() {
@@ -56,20 +25,6 @@ ShardGroup::~ShardGroup() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
-}
-
-void ShardGroup::installHandoff() {
-  // Shard 0's accept interceptor round-robins raw fds across every
-  // shard (keeping its own fair share). The target shard adopts the fd
-  // on its own loop thread — connection state never crosses threads.
-  servers_[0]->onAccept([this](int fd) {
-    const std::size_t target =
-        rr_.fetch_add(1, std::memory_order_relaxed) % servers_.size();
-    if (target == 0) return false;  // shard 0 keeps this one
-    TcpServer* srv = servers_[target].get();
-    loops_[target]->post([srv, fd] { srv->adoptFd(fd); });
-    return true;
-  });
 }
 
 void ShardGroup::runOnCaller() {

@@ -1,24 +1,21 @@
 // Per-core sharded network plane (DESIGN.md §15).
 //
 // A ShardGroup owns N independent {EventLoop, TcpServer} pairs that
-// all serve the same port. Preferred mode: every shard's listener
-// binds with SO_REUSEPORT and the kernel spreads incoming connections
-// across them — no shared accept path at all. Fallback (when
-// SO_REUSEPORT is unavailable, or forced for tests): only shard 0
-// listens, and its accept interceptor hands raw fds round-robin to the
-// other shards via EventLoop::post (which signals the target loop's
-// eventfd) + TcpServer::adoptFd.
+// all serve the same port. With more than one shard every shard's
+// listener binds with SO_REUSEPORT (Linux >= 3.9, which the epoll and
+// eventfd plane already requires) and the kernel spreads incoming
+// connections across them — no shared accept path at all. A failed
+// bind throws NetError; there is no fallback accept mode.
 //
 // Ownership rules: a connection belongs to exactly one shard for its
 // whole life — its decoder, scratch frame and outbound buffer are
 // plain members touched only by that shard's loop thread. The only
-// cross-shard traffic is the one-time fd handoff (fallback mode) and
-// the relaxed counter reads summed here. Whatever state the frame
-// handler touches (e.g. the hosted simulation in RpcdServer) is the
-// handler owner's problem; see the state mutex there.
+// cross-shard traffic is the relaxed counter reads summed here.
+// Whatever state the frame handler touches (e.g. the hosted simulation
+// in RpcdServer) is the handler owner's problem; see the state mutex
+// there.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -32,13 +29,11 @@ namespace asdf::net {
 struct ShardGroupOptions {
   std::uint16_t port = 0;  // 0 = ephemeral; all shards share the result
   int shards = 1;
-  /// false forces the acceptor-handoff fallback even where
-  /// SO_REUSEPORT works (exercised by tests).
-  bool preferReusePort = true;
 };
 
 class ShardGroup {
  public:
+  /// Throws NetError when a shard's listener cannot bind.
   explicit ShardGroup(const ShardGroupOptions& options);
   ~ShardGroup();
   ShardGroup(const ShardGroup&) = delete;
@@ -50,7 +45,9 @@ class ShardGroup {
     return *servers_[static_cast<std::size_t>(i)];
   }
   std::uint16_t port() const { return port_; }
-  bool usingReusePort() const { return reusePort_; }
+  /// True when the shards share the port through SO_REUSEPORT, i.e.
+  /// when there is more than one.
+  bool usingReusePort() const { return servers_.size() > 1; }
 
   /// Runs shard 0's loop on the calling thread and shards 1..N-1 on
   /// spawned threads; returns — after stopping and joining everything
@@ -70,14 +67,10 @@ class ShardGroup {
   std::size_t connectionCount() const;
 
  private:
-  void installHandoff();
-
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::unique_ptr<TcpServer>> servers_;
   std::vector<std::thread> threads_;  // shards 1..N-1, runOnCaller only
   std::uint16_t port_ = 0;
-  bool reusePort_ = false;
-  std::atomic<std::uint64_t> rr_{0};  // fallback round-robin cursor
 };
 
 }  // namespace asdf::net

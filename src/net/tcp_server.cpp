@@ -32,17 +32,11 @@ double monotonicSeconds() {
 }  // namespace
 
 TcpServer::TcpServer(EventLoop& loop, std::uint16_t port)
-    : TcpServer(loop, TcpServerOptions{port, /*reusePort=*/false,
-                                       /*listen=*/true}) {}
+    : TcpServer(loop, TcpServerOptions{port, /*reusePort=*/false}) {}
 
 TcpServer::TcpServer(EventLoop& loop, const TcpServerOptions& options)
     : loop_(loop) {
   connections_.reserve(64);
-  if (!options.listen) {
-    // Listenerless shard: connections arrive via adoptFd() only.
-    port_ = options.port;
-    return;
-  }
   listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listenFd_ < 0) {
     throw NetError(std::string("socket: ") + std::strerror(errno));
@@ -107,12 +101,9 @@ void TcpServer::handleAccept() {
       if (errno == EINTR) continue;
       return;  // transient accept failure; keep listening
     }
-    if (acceptHook_ && acceptHook_(fd)) continue;  // handed to a shard
     addConnection(fd);
   }
 }
-
-void TcpServer::adoptFd(int fd) { addConnection(fd); }
 
 void TcpServer::addConnection(int fd) {
   setNonBlocking(fd);

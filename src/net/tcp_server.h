@@ -16,14 +16,11 @@
 // responses go out via sendmsg scatter-gather (stack header + payload
 // iovec) without ever copying the payload next to its header.
 //
-// Sharding hooks: TcpServerOptions can request SO_REUSEPORT (several
-// shard servers bind the same port and the kernel spreads accepts), or
-// no listener at all — connections then arrive via adoptFd(), handed
-// across loops with EventLoop::post by an acceptor shard whose
-// onAccept interceptor round-robins raw fds (the fallback when
-// SO_REUSEPORT is unavailable). Each shard owns its connections
-// outright; no lock is ever taken on the data path. Counters are
-// relaxed atomics so a ShardGroup can sum them across live shards.
+// Sharding hook: TcpServerOptions can request SO_REUSEPORT (several
+// shard servers bind the same port and the kernel spreads accepts).
+// Each shard owns its connections outright; no lock is ever taken on
+// the data path. Counters are relaxed atomics so a ShardGroup can sum
+// them across live shards.
 //
 // Robustness contract: a connection that sends malformed framing (bad
 // magic, version skew, oversized length, CRC mismatch) is counted and
@@ -52,12 +49,10 @@
 namespace asdf::net {
 
 struct TcpServerOptions {
-  std::uint16_t port = 0;  // 0 = ephemeral (when listening)
+  std::uint16_t port = 0;  // 0 = ephemeral
   /// SO_REUSEPORT on the listener so sibling shard servers can bind
   /// the same port.
   bool reusePort = false;
-  /// false: no listener at all — connections arrive via adoptFd().
-  bool listen = true;
 };
 
 class TcpServer {
@@ -102,12 +97,6 @@ class TcpServer {
   /// connection — copy out anything that must outlive the call.
   using FrameHandler = std::function<void(Connection&, const Frame&)>;
 
-  /// Accept interceptor: offered every freshly accepted fd before the
-  /// server builds a connection for it. Return true to take ownership
-  /// (e.g. hand it to a sibling shard via EventLoop::post + adoptFd);
-  /// false lets this server keep it.
-  using AcceptInterceptor = std::function<bool(int fd)>;
-
   /// Binds and listens on 127.0.0.1:`port` (0 = ephemeral; see
   /// port()). Throws NetError on bind/listen failure.
   TcpServer(EventLoop& loop, std::uint16_t port);
@@ -117,11 +106,6 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   void onFrame(FrameHandler handler) { handler_ = std::move(handler); }
-  void onAccept(AcceptInterceptor cb) { acceptHook_ = std::move(cb); }
-
-  /// Takes ownership of an established socket as a new connection.
-  /// Must run on this server's loop thread (post() it across shards).
-  void adoptFd(int fd);
 
   /// Reaps connections with no read/write progress for `seconds`
   /// (checked at half that interval on the loop). 0 disables (the
@@ -165,7 +149,6 @@ class TcpServer {
   int listenFd_ = -1;
   std::uint16_t port_ = 0;
   FrameHandler handler_;
-  AcceptInterceptor acceptHook_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
   std::uint64_t nextConnId_ = 1;
   // Relaxed atomics: bumped on the loop thread, summed cross-thread by

@@ -232,6 +232,14 @@ TEST(LiveE2E, SimAndLiveTransportsProduceIdenticalAlarms) {
   EXPECT_EQ(sim.jobsSubmitted, live.jobsSubmitted);
   EXPECT_EQ(sim.jobsCompleted, live.jobsCompleted);
   EXPECT_EQ(sim.tasksCompleted, live.tasksCompleted);
+  // Both runs fill the cluster-side fields from one ClusterStatsWire;
+  // the daemons' memory depends only on what they served, so Table 3's
+  // Memory column matches too (CPU time is measured, so it cannot).
+  EXPECT_EQ(sim.tasksFailed, live.tasksFailed);
+  EXPECT_EQ(sim.speculativeLaunches, live.speculativeLaunches);
+  EXPECT_DOUBLE_EQ(sim.sadcRpcdMemMb, live.sadcRpcdMemMb);
+  EXPECT_DOUBLE_EQ(sim.hadoopLogRpcdMemMb, live.hadoopLogRpcdMemMb);
+  EXPECT_DOUBLE_EQ(sim.straceRpcdMemMb, live.straceRpcdMemMb);
 
   // Satellite: identical workloads cost identical bytes — per channel,
   // connects, calls and both Table 4 numbers must agree exactly.
